@@ -42,6 +42,7 @@ from repro.algebra import (
 from repro.cost.estimation import LogicalProperties
 from repro.dag.builder import Query
 from repro.dag.nodes import Dag, EquivalenceNode, Operator
+from repro.optimizer.engine import get_engine
 
 
 class _GenOp(Operator):
@@ -399,3 +400,25 @@ def random_materialization_sets(
         size = rng.randint(1, len(candidates))
         sets.append(set(rng.sample(candidates, size)))
     return sets
+
+
+def reference_sharing_degree(dag: Dag, target_id: int) -> float:
+    """Degree of sharing of one node by the paper's one-target-at-a-time
+    recurrence (Section 4.1): ``E[x][target] = 1`` at the target, the
+    multiplier-weighted sum over an operation's children, and the maximum
+    over an equivalence node's operations.  The oracle for the batched sweep
+    in :mod:`repro.dag.sharability`."""
+    get_engine(dag)  # assigns the topological numbers walked below
+    memo = {}
+    for node in sorted(dag.equivalence_nodes(), key=lambda n: n.topo_number):
+        if node.id == target_id:
+            memo[node.id] = 1.0
+            continue
+        best = 0.0
+        for operation in node.operations:
+            total = 0.0
+            for child, multiplier in zip(operation.children, operation.child_multipliers):
+                total += multiplier * memo.get(child.id, 0.0)
+            best = max(best, total)
+        memo[node.id] = best
+    return memo.get(dag.root.id, 0.0)

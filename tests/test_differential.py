@@ -5,11 +5,12 @@ twin: the array engine vs. the reference object-graph recurrence, the dense
 incremental cost state vs. from-scratch recomputation, incremental Volcano-RU
 vs. its per-query re-costing reference, the dense Volcano-SH decision pass
 vs. its object-graph reference, the incremental greedy pruning fixpoint vs.
-its from-scratch rounds, the dense (NumPy) sharability sweep vs. the sparse
-dict sweep.  This suite pits them against each other on ~200 seeded random
-AND-OR DAGs (see :mod:`tests.generators`, including the subsumption-augmented
-variant that exercises the Volcano-SH swap/undo machinery) and additionally
-checks the qualitative algorithm ordering of the paper:
+its from-scratch rounds, the batched sharability sweep vs. the paper's
+one-target-at-a-time recurrence.  This suite pits them against each other on
+~200 seeded random AND-OR DAGs (see :mod:`tests.generators`, including the
+subsumption-augmented variant that exercises the Volcano-SH swap/undo
+machinery) and additionally checks the qualitative algorithm ordering of the
+paper:
 
 * incremental Volcano-RU returns *exactly* (same total, same materialized
   set, same operation choices) what the from-scratch reference returns, on
@@ -34,18 +35,13 @@ import random
 
 import pytest
 
-from repro.dag.sharability import (
-    _batched_degrees_dense,
-    _batched_degrees_sparse,
-    _np,
-    sharable_nodes,
-)
+from repro.dag.sharability import sharable_nodes, sharing_degrees
 from repro.optimizer.costing import (
     compute_node_costs,
     compute_node_costs_reference,
     total_cost_reference,
 )
-from repro.optimizer.engine import IncrementalCostState, get_engine
+from repro.optimizer.engine import IncrementalCostState
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.greedy import (
     GreedyOptions,
@@ -68,6 +64,7 @@ from tests.generators import (
     random_materialization_sets,
     random_query_workload,
     random_subsumption_dag,
+    reference_sharing_degree,
     subsumption_undo_dag,
 )
 
@@ -485,54 +482,20 @@ class TestBuilderMemoOracle:
         assert reference._weak_join_memo is None
 
 
-class TestSharingSweepPaths:
-    @pytest.mark.skipif(_np is None, reason="NumPy not available")
-    def test_dense_and_sparse_sweeps_agree(self):
+class TestSharingSweep:
+    def test_degrees_match_single_target_recurrence(self):
+        """The batched sweep must equal the paper's one-target-at-a-time
+        recurrence exactly, for every non-base, non-root node."""
         for seed in range(0, 100, 2):
             dag = random_dag(seed)
-            targets = {
-                node.id
+            candidates = [
+                node
                 for node in dag.equivalence_nodes()
                 if not node.is_base and node is not dag.root
-            }
-            if not targets:
-                continue
-            dense = _batched_degrees_dense(dag, targets)
-            sparse = _batched_degrees_sparse(dag, targets)
-            assert dense == sparse, seed
-
-    def test_degrees_match_single_target_recurrence(self):
-        """Both sweep paths must equal the paper's one-target-at-a-time
-        recurrence (re-implemented here as the oracle)."""
-
-        def oracle_degree(dag, target):
-            memo = {}
-            for node in sorted(dag.equivalence_nodes(), key=lambda n: n.topo_number):
-                if node.id == target:
-                    memo[node.id] = 1.0
-                    continue
-                best = 0.0
-                for operation in node.operations:
-                    total = 0.0
-                    for child, multiplier in zip(
-                        operation.children, operation.child_multipliers
-                    ):
-                        total += multiplier * memo.get(child.id, 0.0)
-                    best = max(best, total)
-                memo[node.id] = best
-            return memo.get(dag.root.id, 0.0)
-
-        for seed in range(0, 40, 4):
-            dag = random_dag(seed)
-            get_engine(dag)  # numbers the DAG, as the sweeps do internally
-            targets = {
-                node.id
-                for node in dag.equivalence_nodes()
-                if not node.is_base and node is not dag.root
-            }
-            sparse = _batched_degrees_sparse(dag, targets)
-            for target in targets:
-                assert sparse[target] == pytest.approx(oracle_degree(dag, target)), (
+            ]
+            degrees = sharing_degrees(dag, candidates)
+            for node in candidates:
+                assert degrees[node.id] == reference_sharing_degree(dag, node.id), (
                     seed,
-                    target,
+                    node.id,
                 )

@@ -11,9 +11,6 @@ dataset (the result-cache examples execute real rows) — keeping this suite
 fast.  The multi-worker service example (snapshot fan-out, bounded
 caches, background warming — the deployment story of PR 7) runs as a real
 subprocess, self-checking included.
-
-Runs in every CI leg, including the no-NumPy one: the examples must not
-depend on optional accelerators.
 """
 
 import os

@@ -25,6 +25,7 @@ from repro.workloads import tpcd_queries as tq
 from repro.workloads.batch import batched_queries
 from repro.workloads.nested import parameterized_batch
 from repro.workloads.scaleup import scaleup_queries
+from tests.generators import reference_sharing_degree
 from tests.test_dag import join_rs, join_rst
 
 
@@ -375,28 +376,11 @@ class TestDenseCostMappingView:
 class TestBatchedSharingDegrees:
     def test_batched_degrees_match_per_target_recurrence(self, batch_dag):
         """The one-sweep batched computation must equal the paper's one-target
-        -at-a-time recurrence (re-implemented here as the oracle)."""
+        -at-a-time recurrence."""
         from repro.dag.sharability import _may_be_shared, sharing_degrees
-
-        def oracle_degree(dag, target):
-            memo = {}
-            for node in sorted(dag.equivalence_nodes(), key=lambda n: n.topo_number):
-                if node is target:
-                    memo[node.id] = 1.0
-                    continue
-                best = 0.0
-                for operation in node.operations:
-                    total = 0.0
-                    for child, multiplier in zip(
-                        operation.children, operation.child_multipliers
-                    ):
-                        total += multiplier * memo.get(child.id, 0.0)
-                    best = max(best, total)
-                memo[node.id] = best
-            return memo.get(dag.root.id, 0.0)
 
         degrees = sharing_degrees(batch_dag)
         for node in batch_dag.equivalence_nodes():
             if node.is_base or node is batch_dag.root or not _may_be_shared(node):
                 continue
-            assert degrees[node.id] == pytest.approx(oracle_degree(batch_dag, node))
+            assert degrees[node.id] == reference_sharing_degree(batch_dag, node.id)
