@@ -83,9 +83,10 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # Make ``src`` importable when this file is executed directly
 # (``python benchmarks/harness.py --smoke``); under pytest the benchmark
@@ -776,30 +777,58 @@ DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "perf_baseline.json")
 
 
-def _calibrate(repeats: int = 3) -> float:
-    """Seconds for a fixed pure-Python workload, as a machine-speed unit.
+class _PairedTimer:
+    """Times gate workloads in units of a fixed calibration workload.
 
     Greedy wall times are only comparable across machines (laptop vs. CI
     runner) after dividing by how fast the interpreter runs comparable
     bytecode, so the gate stores and compares *normalized* times.  The
-    calibration loop intentionally lives outside the repro package: if it
-    used the optimizer itself, speeding the optimizer up would silently
-    loosen the gate.
-    """
-    data = [float(i % 97) + 0.5 for i in range(5_000)]
-    table: Dict[int, float] = {}
+    calibration loop (:meth:`spin`) intentionally lives outside the repro
+    package: if it used the optimizer itself, speeding the optimizer up
+    would silently loosen the gate.
 
-    def spin() -> float:
+    Every workload sample is paired with a calibration sample taken just
+    before it (:meth:`sample`).  A machine that slows down or speeds up
+    during the gate run (shared hosts, frequency scaling) moves both halves
+    of a pair together, so each ratio cancels the drift that a single
+    up-front calibration would bake into every normalized time; the median
+    of the ratios drops the pairs that a scheduling hiccup split.  A
+    workload sample is the fastest of a short burst of runs: the first run
+    after the calibration loop pays for caches the loop evicted, which
+    would inflate sub-millisecond workloads by a third.
+    """
+
+    def __init__(self) -> None:
+        self._data = [float(i % 97) + 0.5 for i in range(5_000)]
+        self._table: Dict[int, float] = {}
+        #: Every calibration sample taken, in seconds (for the report).
+        self.units: List[float] = []
+        self.spin()  # warm-up
+
+    def spin(self) -> float:
         acc = 0.0
+        table = self._table
         for _ in range(40):
-            for i, value in enumerate(data):
+            for i, value in enumerate(self._data):
                 acc += value * 1.0000001
                 if not i & 1023:
                     table[i] = acc
         return acc
 
-    spin()  # warm-up
-    return min(_best_of(spin, repeats))
+    def sample(self, fn, repeats: int, burst: int = 3) -> Tuple[float, float]:
+        """``(min seconds, median paired ratio)`` over *repeats* pairs, each a
+        calibration sample followed by the fastest of *burst* runs of *fn*."""
+        seconds = []
+        ratios = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            self.spin()
+            unit = time.perf_counter() - start
+            elapsed = min(_best_of(fn, burst))
+            self.units.append(unit)
+            seconds.append(elapsed)
+            ratios.append(elapsed / unit)
+        return min(seconds), statistics.median(ratios)
 
 
 def _best_of(fn, repeats: int) -> List[float]:
@@ -811,44 +840,53 @@ def _best_of(fn, repeats: int) -> List[float]:
     return times
 
 
-def _measure_algorithm_times(algorithm, repeats: int = 7) -> Dict[str, float]:
-    """Min-of-N optimization seconds for one algorithm on the gate workloads."""
+def _measure_algorithm_times(
+    algorithm, timer: _PairedTimer, repeats: int = 7
+) -> Dict[str, Tuple[float, float]]:
+    """``(min seconds, normalized time)`` of one algorithm per gate workload
+    (see :meth:`_PairedTimer.sample`)."""
     from repro.workloads.scaleup import all_scaleup_workloads
 
     optimizer = psp_optimizer()
     workloads = all_scaleup_workloads()
-    times: Dict[str, float] = {}
+    times: Dict[str, Tuple[float, float]] = {}
     for name in PERF_GATE_WORKLOADS:
         queries = workloads[name]
         dag = optimizer.build_dag(queries)
         run = lambda: optimizer.optimize(queries, algorithm, dag=dag)
         run()  # warm caches (cost engine snapshot)
-        times[name] = min(_best_of(run, repeats))
+        times[name] = timer.sample(run, repeats)
     return times
 
 
-def measure_greedy_times(repeats: int = 7) -> Dict[str, float]:
-    """Min-of-N greedy optimization seconds for the gate workloads."""
+def measure_greedy_times(
+    timer: _PairedTimer, repeats: int = 7
+) -> Dict[str, Tuple[float, float]]:
+    """Greedy optimization ``(min seconds, normalized time)`` per gate workload."""
     from repro import Algorithm
 
-    return _measure_algorithm_times(Algorithm.GREEDY, repeats)
+    return _measure_algorithm_times(Algorithm.GREEDY, timer, repeats)
 
 
-def measure_volcano_ru_times(repeats: int = 7) -> Dict[str, float]:
-    """Min-of-N Volcano-RU optimization seconds for the gate workloads."""
+def measure_volcano_ru_times(
+    timer: _PairedTimer, repeats: int = 7
+) -> Dict[str, Tuple[float, float]]:
+    """Volcano-RU optimization ``(min seconds, normalized time)`` per gate workload."""
     from repro import Algorithm
 
-    return _measure_algorithm_times(Algorithm.VOLCANO_RU, repeats)
+    return _measure_algorithm_times(Algorithm.VOLCANO_RU, timer, repeats)
 
 
-def measure_build_times(repeats: int = 5) -> Dict[str, float]:
-    """Min-of-N ``build_dag`` seconds for the build-gate workloads."""
+def measure_build_times(
+    timer: _PairedTimer, repeats: int = 5
+) -> Dict[str, Tuple[float, float]]:
+    """``build_dag`` ``(min seconds, normalized time)`` per build-gate workload."""
     from repro import MQOptimizer
     from repro.catalog import tpcd_catalog
     from repro.workloads.batch import batched_queries, no_overlap_batch
     from repro.workloads.scaleup import all_scaleup_workloads
 
-    times: Dict[str, float] = {}
+    times: Dict[str, Tuple[float, float]] = {}
     psp = psp_optimizer()
     scaleup = all_scaleup_workloads()
     tpcd = tpcd_optimizer()
@@ -861,7 +899,7 @@ def measure_build_times(repeats: int = 5) -> Dict[str, float]:
             continue
         run = lambda: optimizer.build_dag(queries)
         run()  # warm catalog/property caches
-        times[name] = min(_best_of(run, repeats))
+        times[name] = timer.sample(run, repeats)
     return times
 
 
@@ -988,18 +1026,28 @@ def perf_gate(baseline_path: str, update: bool = False,
     regress beyond the tolerance band, or if the ``OptimizerSession``
     warm-rebuild speedups fall below their floors.
 
-    Times are normalized by :func:`_calibrate` so the checked-in baseline
-    transfers across machines; the band (default 1.5x) absorbs the remaining
-    scheduling noise.  Warm-rebuild speedups are ratios and are checked
-    directly against :data:`WARM_GATE_MIN_SPEEDUP`.
+    Times are normalized by the calibration workload so the checked-in
+    baseline transfers across machines: every timed run is paired with a
+    calibration sample taken just before it, and a workload's normalized
+    time is the median of its paired ratios (:class:`_PairedTimer`).  The
+    band (default 1.5x) absorbs the remaining scheduling noise.  Warm-rebuild
+    speedups are ratios and are checked directly against
+    :data:`WARM_GATE_MIN_SPEEDUP`.
     """
-    calibration = _calibrate()
-    measured = {series: measure() for series, _, measure, _ in _GATE_SERIES}
-    normalized = {
-        series: {name: t / calibration for name, t in times.items()}
-        for series, times in measured.items()
+    timer = _PairedTimer()
+    timed = {series: measure(timer) for series, _, measure, _ in _GATE_SERIES}
+    measured = {
+        series: {name: pair[0] for name, pair in times.items()}
+        for series, times in timed.items()
     }
-    print(f"calibration: {calibration * 1000:.2f} ms")
+    normalized = {
+        series: {name: pair[1] for name, pair in times.items()}
+        for series, times in timed.items()
+    }
+    calibration = statistics.median(timer.units)
+    print(f"calibration: median {calibration * 1000:.2f} ms over "
+          f"{len(timer.units)} paired samples "
+          f"({min(timer.units) * 1000:.2f}-{max(timer.units) * 1000:.2f} ms)")
     for series, _, _, workloads in _GATE_SERIES:
         for name in workloads:
             print(f"{name}: {series} {measured[series][name] * 1000:.2f} ms "

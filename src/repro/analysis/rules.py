@@ -25,6 +25,15 @@ semantics do not match their invalidation story):
   attribute created in the ``__init__`` of a registered cache-owning class
   must be referenced by that class's declared invalidation registry method.
 
+Memory rule (per-request garbage that only the cycle collector can free):
+
+* **R001** — a recursive closure: a nested function that refers to its own
+  name, or nested functions of one scope that refer to each other in a
+  cycle.  Each such function holds the closure cell that holds it, so every
+  call of the enclosing function leaves a function ↔ cell reference cycle
+  behind.  Use a module-level helper that takes the accumulator, a method,
+  or an explicit stack.
+
 Inference is deliberately conservative: only *provably* unordered sources are
 flagged (literals, constructors, set-operator methods, set-annotated names and
 parameters, and calls to functions whose return annotation is set-like),
@@ -46,6 +55,7 @@ RULES: Dict[str, str] = {
     "C001": "id()-derived cache key without a companion strong reference",
     "C002": "mutation of a documented frozen/copy-on-write structure",
     "M001": "cache attribute missing from the declared invalidation registry",
+    "R001": "recursive closure: a nested function reaching itself through its closure",
     "S001": "bare suppression: ok(RULE) requires a justification",
     "S002": "suppression names an unknown rule id",
     "S003": "unused suppression (matches no finding)",
@@ -590,6 +600,91 @@ def check_registries(tree: ast.Module, config: LintConfig) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# R001: recursive closures
+# ---------------------------------------------------------------------------
+
+def _local_names(fn: _FunctionNode) -> Set[str]:
+    """Names *fn* binds in its own scope (parameters and assignments), which
+    therefore never resolve to an enclosing function's cell."""
+    args = fn.args
+    names = {
+        arg.arg
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+        if arg is not None
+    }
+    declared_free: Set[str] = set()
+    for stmt in _body_statements(fn):
+        if isinstance(stmt, (ast.Nonlocal, ast.Global)):
+            declared_free.update(stmt.names)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+            continue
+        for sub in ast.walk(stmt):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del)):
+                names.add(sub.id)
+    return names - declared_free
+
+
+def _loaded_names(fn: _FunctionNode) -> Set[str]:
+    """Every name read anywhere in *fn*'s body, nested scopes included (a
+    nested scope's free name is a free name of *fn* too)."""
+    return {
+        sub.id
+        for stmt in fn.body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def check_recursive_closures(tree: ast.Module) -> List[Finding]:
+    """R001 over every function scope of *tree*.
+
+    Within one enclosing function, each directly nested function is a graph
+    node with an edge to every sibling nested function it reads through its
+    closure; a nested function on a cycle of that graph (a self-loop
+    included) is a recursive closure.
+    """
+    findings: List[Finding] = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested: Dict[str, _FunctionNode] = {}
+        for stmt in _body_statements(outer):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested[stmt.name] = stmt
+        if not nested:
+            continue
+        edges: Dict[str, Set[str]] = {
+            name: (_loaded_names(fn) - _local_names(fn)) & nested.keys()
+            for name, fn in nested.items()
+        }
+        for name, fn in nested.items():
+            # Depth-first search for a path from *name* back to itself.
+            seen: Set[str] = set()
+            stack = sorted(edges[name])
+            cyclic = False
+            while stack and not cyclic:
+                current = stack.pop()
+                if current == name:
+                    cyclic = True
+                elif current not in seen:
+                    seen.add(current)
+                    stack.extend(sorted(edges[current]))
+            if cyclic:
+                findings.append(
+                    Finding(
+                        "R001",
+                        f"nested function {name}() reaches itself through its closure; "
+                        "every call leaves a function <-> cell reference cycle for the "
+                        "cycle collector — use a module-level helper or an explicit stack",
+                        fn.lineno,
+                        fn.col_offset,
+                    )
+                )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Entry point: all rules over one parsed module
 # ---------------------------------------------------------------------------
 
@@ -610,4 +705,5 @@ def check_module(tree: ast.Module, config: LintConfig) -> List[Finding]:
             findings.extend(_FunctionChecker(node, scope, index, config).run())
 
     findings.extend(check_registries(tree, config))
+    findings.extend(check_recursive_closures(tree))
     return findings

@@ -20,8 +20,16 @@ id-indexed layout for the whole lifecycle:
   every time — so identity comparisons (``node is dag.root``,
   ``engine.nodes[node.id] is node``) behave exactly as they did with owned
   objects.  Code that never asks for a view never pays for one: the builder,
-  subsumption expansion, and :class:`repro.optimizer.engine.CostEngine` all
-  read the columns directly.
+  subsumption expansion, :class:`repro.optimizer.engine.CostEngine`, and the
+  search passes all read the columns directly, and the searches ask for an
+  :class:`OperationNode` view only for an operation they return as a choice.
+* Views are canonical for as long as the owning :class:`~repro.dag.nodes.Dag`
+  lives, and no longer.  The view caches and the views' back-references form
+  the one arena ↔ view cycle; ``Dag.__del__`` breaks it
+  (:meth:`DagArena.release_views`), so a DAG, its arena, and its views hold
+  no reference cycle once the DAG goes and are freed by reference counting
+  the moment the last result using them is dropped — never left to the
+  cycle collector.  A view held past its DAG still reads its own columns.
 * Pickling an arena serializes only the primary columns; the derived tables
   (adjacency, signature interns, cost-kernel entries, views) are rebuilt in
   :meth:`DagArena.__setstate__`.  That is what makes
@@ -56,33 +64,41 @@ if TYPE_CHECKING:
     from repro.cost.estimation import LogicalProperties
     from repro.dag.nodes import Operator
 
-#: One flat cost-kernel entry: ``(local_cost, ((child_id, multiplier), ...))``.
-OpEntry = Tuple[float, Tuple[Tuple[int, float], ...]]
+#: One flat cost-kernel entry: ``(local_cost, child_ids, multipliers)``.  The
+#: two tuples are the operation's own ``op_children`` / ``op_multipliers``
+#: entries, shared rather than copied into per-child pairs.
+OpEntry = Tuple[float, Tuple[int, ...], Tuple[float, ...]]
 
 #: Interned duplicate-derivation key: ``(owner_eq_id, operator, child_ids)``.
 OpSignature = Tuple[int, "Operator", Tuple[int, ...]]
+
+#: Shared default multiplier tuples by arity: almost every operation has
+#: unit multipliers over one or two children, so one tuple per arity serves.
+_UNIT_MULTIPLIERS: Tuple[Tuple[float, ...], ...] = ((), (1.0,), (1.0, 1.0))
 
 
 class DagError(RuntimeError):
     """Raised on structural errors while building or validating the DAG."""
 
 
-def _op_spec(local_cost: float, children: Tuple[Tuple[int, float], ...]) -> Tuple[Any, ...]:
+def _op_spec(
+    local_cost: float, children: Tuple[int, ...], multipliers: Tuple[float, ...]
+) -> Tuple[Any, ...]:
     """Arity-specialized kernel entry (see ``CostEngine.op_specs``).
 
     ``(c1, m1, c2, m2, local)`` for the dominant two-child shape,
-    ``(c1, m1, local)`` for one child, ``(children, local)`` otherwise —
-    distinguished by ``len``.  Must stay bit-compatible with the engine's
-    historical construction: the left-associated accumulation the kernels
-    perform over these tuples is contractual.
+    ``(c1, m1, local)`` for one child, ``(((child_id, multiplier), ...),
+    local)`` otherwise — distinguished by ``len``.  Must stay bit-compatible
+    with the engine's historical construction: the left-associated
+    accumulation the kernels perform over these tuples is contractual.
     """
     if len(children) == 2:
-        (c1, m1), (c2, m2) = children
+        c1, c2 = children
+        m1, m2 = multipliers
         return (c1, m1, c2, m2, local_cost)
     if len(children) == 1:
-        ((c1, m1),) = children
-        return (c1, m1, local_cost)
-    return (children, local_cost)
+        return (children[0], multipliers[0], local_cost)
+    return (tuple(zip(children, multipliers)), local_cost)
 
 
 class DagArena:
@@ -255,7 +271,12 @@ class DagArena:
         present it (the memo swallows repeats first).
         """
         if not multipliers:
-            multipliers = (1.0,) * len(child_ids)
+            arity = len(child_ids)
+            multipliers = (
+                _UNIT_MULTIPLIERS[arity]
+                if arity < len(_UNIT_MULTIPLIERS)
+                else (1.0,) * arity
+            )
         cost = float(local_cost)
         op_id = len(self.op_owner)
         self.op_operator.append(operator)
@@ -292,9 +313,10 @@ class DagArena:
         multipliers = self.op_multipliers
         for op_id in range(start, total):
             cost = costs[op_id]
-            entry: OpEntry = (cost, tuple(zip(children[op_id], multipliers[op_id])))
-            entries.append(entry)
-            specs.append(_op_spec(cost, entry[1]))
+            op_children = children[op_id]
+            op_multipliers = multipliers[op_id]
+            entries.append((cost, op_children, op_multipliers))
+            specs.append(_op_spec(cost, op_children, op_multipliers))
 
     # -- canonical views -----------------------------------------------------
     def eq_view(self, eq_id: int) -> "EquivalenceNode":
@@ -316,6 +338,20 @@ class DagArena:
             view = OperationNode(self, op_id)
             self._op_views[op_id] = view
         return view
+
+    def release_views(self) -> None:
+        """Drop the cached views, breaking the arena ↔ view reference cycle.
+
+        Each cached view points back at the arena, so while the caches are
+        populated the arena and its views form a cycle that only CPython's
+        cycle collector could free.  The owning :class:`~repro.dag.nodes.Dag`
+        calls this when it is freed, which leaves the arena and every view
+        freed by reference counting alone.  Views handed out earlier keep
+        working (they still read the columns) but are no longer canonical:
+        a later ``eq_view``/``op_view`` call creates a fresh object.
+        """
+        self._eq_views = [None] * len(self.eq_key)
+        self._op_views = [None] * len(self.op_owner)
 
     # -- structure maintenance ------------------------------------------------
     def assign_topological_numbers(self, root_id: int) -> None:

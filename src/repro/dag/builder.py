@@ -297,39 +297,44 @@ def _referenced_column_names(expressions: Iterable[Expression]) -> FrozenSet[str
     of estimated intermediate-result widths.
     """
     names: Set[str] = set()
-
-    def visit_predicate(predicate: Predicate) -> None:
-        for column in predicate.columns():
-            names.add(column.column)
-
-    def visit(expression: Expression) -> None:
-        if isinstance(expression, Select):
-            visit_predicate(expression.predicate)
-        elif isinstance(expression, Join):
-            visit_predicate(expression.predicate)
-        elif isinstance(expression, Project):
-            for column in expression.columns:
-                names.add(column.column)
-        elif isinstance(expression, Aggregate):
-            for column in expression.group_by:
-                names.add(column.column)
-            for aggregate in expression.aggregates:
-                names.add(aggregate.alias)
-                if aggregate.column is not None:
-                    names.add(aggregate.column.column)
-        elif isinstance(expression, CorrelatedSubqueryFilter):
-            for predicate in expression.correlation:
-                visit_predicate(predicate)
-            names.add(expression.outer_column.column)
-            names.add(expression.aggregate.alias)
-            if expression.aggregate.column is not None:
-                names.add(expression.aggregate.column.column)
-        for child in expression.children():
-            visit(child)
-
     for expression in expressions:
-        visit(expression)
+        _collect_column_names(expression, names)
     return frozenset(names)
+
+
+def _collect_column_names(expression: Expression, names: Set[str]) -> None:
+    """Add the column names *expression* and its subtree reference to *names*.
+
+    A module-level helper rather than a nested closure: a recursive closure
+    holds a reference to its own cell, a reference cycle that every call
+    would leave to the cycle collector.
+    """
+    if isinstance(expression, (Select, Join)):
+        _add_predicate_columns(expression.predicate, names)
+    elif isinstance(expression, Project):
+        for column in expression.columns:
+            names.add(column.column)
+    elif isinstance(expression, Aggregate):
+        for column in expression.group_by:
+            names.add(column.column)
+        for aggregate in expression.aggregates:
+            names.add(aggregate.alias)
+            if aggregate.column is not None:
+                names.add(aggregate.column.column)
+    elif isinstance(expression, CorrelatedSubqueryFilter):
+        for predicate in expression.correlation:
+            _add_predicate_columns(predicate, names)
+        names.add(expression.outer_column.column)
+        names.add(expression.aggregate.alias)
+        if expression.aggregate.column is not None:
+            names.add(expression.aggregate.column.column)
+    for child in expression.children():
+        _collect_column_names(child, names)
+
+
+def _add_predicate_columns(predicate: Predicate, names: Set[str]) -> None:
+    for column in predicate.columns():
+        names.add(column.column)
 
 
 #: One recorded join operation of a canonical partition-enumeration recipe:

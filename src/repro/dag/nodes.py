@@ -26,6 +26,9 @@ over dense arena ids, so the public object API is unchanged while the
 builder, subsumption pass, and cost engine operate on flat id-indexed
 columns.  ``Dag.add_operation`` deduplicates repeated derivations with one
 interned-signature dict probe instead of the historical per-node scan.
+Views are canonical while their ``Dag`` lives; a ``Dag`` holds no reference
+cycle and is freed by reference counting on its last reference
+(``Dag.__del__`` releases the arena's view caches).
 """
 
 from __future__ import annotations
@@ -252,6 +255,16 @@ class Dag:
         self.root: Optional[EquivalenceNode] = None
         self.query_roots: List[EquivalenceNode] = []
         self.query_names: List[str] = []
+
+    def __del__(self) -> None:
+        # The arena's view caches and the views' back-references form the
+        # only reference cycle under a DAG; breaking it here lets reference
+        # counting free the arena and its views with the DAG (see
+        # :meth:`DagArena.release_views`).  ``getattr``: an unpickling that
+        # failed midway leaves no arena.
+        arena = getattr(self, "arena", None)
+        if arena is not None:
+            arena.release_views()
 
     # -- construction -----------------------------------------------------------
     def equivalence(

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.dag.nodes import Dag, EquivalenceNode
+from repro.dag.nodes import Dag, DagArena, EquivalenceNode
 
 
 def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
@@ -58,10 +58,10 @@ def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
     for node_id in engine.topo_order:
         best: Optional[Dict[int, float]] = None
         best_owned = False
-        for _local_cost, children in op_table[node_id]:
+        for _local_cost, children, multipliers in op_table[node_id]:
             acc: Optional[Dict[int, float]] = None
             acc_owned = False
-            for child_id, multiplier in children:
+            for child_id, multiplier in zip(children, multipliers):
                 child_vector = vectors[child_id]
                 if not child_vector:
                     continue
@@ -117,13 +117,19 @@ def sharable_nodes(dag: Dag) -> List[EquivalenceNode]:
     return [node for node in dag.equivalence_nodes() if degrees.get(node.id, 0.0) > 1.0]
 
 
-def _may_be_shared(node: EquivalenceNode) -> bool:
-    if len(node.parents) >= 2:
+def _may_be_shared(arena: DagArena, eq_id: int) -> bool:
+    """Cheap pre-filter: can equivalence node *eq_id* have a degree above one?
+
+    True when it has two or more parent operations, or one parent that uses
+    it with a total multiplier above one.  Reads the arena columns only.
+    """
+    parent_ops = arena.eq_parent_ops[eq_id]
+    if len(parent_ops) >= 2:
         return True
-    for parent in node.parents:
+    for op_id in parent_ops:
         multiplier = 0.0
-        for child, factor in zip(parent.children, parent.child_multipliers):
-            if child.id == node.id:
+        for child_id, factor in zip(arena.op_children[op_id], arena.op_multipliers[op_id]):
+            if child_id == eq_id:
                 multiplier += factor
         if multiplier > 1.0:
             return True
@@ -144,14 +150,18 @@ def sharing_degrees(
     """
     if candidates is not None:
         return _batched_degrees(dag, {node.id for node in candidates})
+    if dag.root is None:
+        raise ValueError("DAG has no root")
+    arena = dag.arena
+    root_id = dag.root.id
     degrees: Dict[int, float] = {}
     targets: Set[int] = set()
-    for node in dag.equivalence_nodes():
-        if node.is_base or node is dag.root:
+    for eq_id in range(arena.num_equivalences):
+        if arena.eq_is_base[eq_id] or eq_id == root_id:
             continue
-        if not _may_be_shared(node):
-            degrees[node.id] = 1.0 if node.parents else 0.0
+        if not _may_be_shared(arena, eq_id):
+            degrees[eq_id] = 1.0 if arena.eq_parent_ops[eq_id] else 0.0
             continue
-        targets.add(node.id)
+        targets.add(eq_id)
     degrees.update(_batched_degrees(dag, targets))
     return degrees

@@ -14,8 +14,8 @@ plain lists indexed by id suffice):
 
 * ``topo_order`` — node ids sorted by topological number (children first),
   computed once instead of once per ``compute_node_costs`` call;
-* ``op_table`` — per node, ``(local_cost, ((child_id, multiplier), ...))``
-  tuples, one flat structure per alternative operation;
+* ``op_table`` — per node, ``(local_cost, child_ids, multipliers)`` tuples,
+  one flat structure per alternative operation;
 * ``parent_ids`` / ``topo_number`` — the upward adjacency used by the
   incremental cost propagation of Figure 5;
 * ``mat_cost`` / ``reuse_cost`` / ``is_base`` — per-node scalars.
@@ -103,6 +103,7 @@ from typing import (
     Union,
 )
 
+from repro.dag.arena import OpEntry
 from repro.dag.nodes import Dag, DagError, EquivalenceNode, OperationNode
 
 INFINITE_COST = math.inf
@@ -187,7 +188,6 @@ class CostEngine:
     """Flat snapshot of one DAG plus the cost kernels evaluated over it."""
 
     __slots__ = (
-        "dag",
         "arena",
         "num_nodes",
         "root_id",
@@ -208,8 +208,6 @@ class CostEngine:
         "created_by_subsumption",
         "_baseline_costs",
         "_nodes",
-        "_op_nodes",
-        "_op_node_by_id",
     )
 
     def __init__(self, dag: Dag) -> None:
@@ -225,8 +223,10 @@ class CostEngine:
         # copying the mutable per-node scalars, aliasing the append-only
         # per-operation columns, and grouping precomputed kernel entries per
         # node — no object-graph traversal.
+        # No back-reference to the DAG: the DAG caches its engine
+        # (:func:`get_engine`), and an engine -> DAG edge would make the
+        # pair a reference cycle that only the cycle collector could free.
         arena = dag.arena
-        self.dag = dag
         self.arena = arena
         num_nodes = arena.num_equivalences
         self.num_nodes = num_nodes
@@ -253,9 +253,9 @@ class CostEngine:
         arena.sync_op_tables()
         op_entry = arena.op_entry
         op_spec = arena.op_spec
-        #: Per node: one (local_cost, ((child_id, multiplier), ...)) per operation,
+        #: Per node: one (local_cost, child_ids, multipliers) per operation,
         #: in the same order as ``node.operations`` (ties keep the first op).
-        self.op_table: List[Tuple[Tuple[float, Tuple[Tuple[int, float], ...]], ...]] = [
+        self.op_table: List[Tuple[OpEntry, ...]] = [
             tuple(op_entry[op_id] for op_id in op_ids) for op_ids in eq_op_ids
         ]
         #: Arity-specialized variant of ``op_table`` for the propagation inner
@@ -275,14 +275,16 @@ class CostEngine:
             else tuple(op_spec[op_id] for op_id in op_ids)
             for node_id, op_ids in enumerate(eq_op_ids)
         ]
-        #: Per node: operation-node ids, parallel to ``op_table``/``op_nodes``.
-        self.op_ids: List[Tuple[int, ...]] = [tuple(op_ids) for op_ids in eq_op_ids]
-        #: Operation-node id -> its flat ``(local_cost, children)`` entry, for
-        #: costing a *given* operation (Volcano-SH prices the plan's chosen
-        #: operation rather than the argmin).  Operation ids are dense, and
-        #: the arena column is append-only with immutable entries, so the
-        #: alias is index-stable.
-        self.op_entry_by_op_id: List[Tuple[float, Tuple[Tuple[int, float], ...]]] = op_entry
+        #: Per node: operation-node ids, parallel to ``op_table``/``op_specs``
+        #: (the append-only arena adjacency, aliased: a DAG that grows gets a
+        #: fresh engine, see :func:`get_engine`).
+        self.op_ids: List[List[int]] = eq_op_ids
+        #: Operation-node id -> its flat ``(local_cost, child_ids,
+        #: multipliers)`` entry, for costing a *given* operation (Volcano-SH
+        #: prices the plan's chosen operation rather than the argmin).
+        #: Operation ids are dense, and the arena column is append-only with
+        #: immutable entries, so the alias is index-stable.
+        self.op_entry_by_op_id: List[OpEntry] = op_entry
         #: Operation id -> id of the equivalence node the operation computes
         #: (append-only arena column, aliased).
         self.op_owner: List[int] = arena.op_owner
@@ -295,21 +297,18 @@ class CostEngine:
             for parent_ops in arena.eq_parent_ops
         ]
         #: Per node: ids of the parent *operation* nodes, in ``node.parents``
-        #: order (Volcano-SH's special test scans a node's parent operations).
-        self.parent_op_ids: List[Tuple[int, ...]] = [
-            tuple(parent_ops) for parent_ops in arena.eq_parent_ops
-        ]
+        #: order (Volcano-SH's special test scans a node's parent operations;
+        #: the append-only arena adjacency, aliased like ``op_ids``).
+        self.parent_op_ids: List[List[int]] = arena.eq_parent_ops
         #: Per node: whether the node was introduced by a subsumption
         #: derivation (these must pay for themselves, Section 3.2).
         self.created_by_subsumption: List[bool] = list(arena.eq_created_by_subsumption)
         # Lazily memoized ``compute_costs(∅)`` (see :meth:`baseline_costs`).
         self._baseline_costs: Optional[List[float]] = None
-        # Lazily materialized facade-object tables (see the properties below).
+        # Lazily materialized facade-object table (see :attr:`nodes`).
         self._nodes: Optional[List[EquivalenceNode]] = None
-        self._op_nodes: Optional[List[Tuple[OperationNode, ...]]] = None
-        self._op_node_by_id: Optional[List[OperationNode]] = None
 
-    # -- facade-object tables (lazy) -------------------------------------------
+    # -- facade-object table (lazy) --------------------------------------------
     @property
     def nodes(self) -> List[EquivalenceNode]:
         """id -> EquivalenceNode (ids are dense, so a list is the id map).
@@ -324,31 +323,6 @@ class CostEngine:
             nodes = [eq_view(node_id) for node_id in range(self.num_nodes)]
             self._nodes = nodes
         return nodes
-
-    @property
-    def op_nodes(self) -> List[Tuple[OperationNode, ...]]:
-        """Parallel to ``op_table``: the OperationNode views, for argmin results."""
-        op_nodes = self._op_nodes
-        if op_nodes is None:
-            op_view = self.arena.op_view
-            op_nodes = [
-                tuple(op_view(op_id) for op_id in op_ids)
-                for op_ids in self.arena.eq_op_ids
-            ]
-            self._op_nodes = op_nodes
-        return op_nodes
-
-    @property
-    def op_node_by_id(self) -> List[OperationNode]:
-        """Operation id -> OperationNode (for converting flat choices back)."""
-        op_node_by_id = self._op_node_by_id
-        if op_node_by_id is None:
-            op_view = self.arena.op_view
-            op_node_by_id = [
-                op_view(op_id) for op_id in range(self.arena.num_operations)
-            ]
-            self._op_node_by_id = op_node_by_id
-        return op_node_by_id
 
     # -- cost kernels ---------------------------------------------------------
     def compute_costs(self, materialized: Set[int] = EMPTY_SET) -> List[float]:
@@ -418,7 +392,7 @@ class CostEngine:
 
     def reachable_flags(
         self,
-        choice_entry: Sequence[Optional[Tuple[float, Tuple[Tuple[int, float], ...]]]],
+        choice_entry: Sequence[Optional[OpEntry]],
     ) -> bytearray:
         """Byte flags of the nodes reachable from the root under *choice_entry*.
 
@@ -442,8 +416,7 @@ class CostEngine:
             entry = choice_entry[node_id]
             if entry is None:
                 continue
-            for child_id, _multiplier in entry[1]:
-                stack.append(child_id)
+            stack.extend(entry[1])
         return reachable
 
     def total(self, costs: CostTable, materialized: Set[int] = EMPTY_SET) -> float:
@@ -461,33 +434,25 @@ class CostEngine:
     def best_operations(
         self, costs: CostTable, materialized: Set[int] = EMPTY_SET
     ) -> Dict[int, OperationNode]:
-        """The argmin operation for every non-base node with operations."""
+        """The argmin operation for every non-base node with operations
+        (``None`` where every alternative is infinite).
+
+        The sweep runs on operation indices; a view is created only for the
+        operation each node chooses, never for the alternatives it rejects.
+        """
         if isinstance(costs, CostTableView):
             costs = costs._values
         choices: Dict[int, OperationNode] = {}
         effective = self.effective_costs(costs, materialized)
-        op_nodes = self.op_nodes
+        op_ids = self.op_ids
+        op_view = self.arena.op_view
         for node_id, operations in enumerate(self.op_specs):
             if operations is None:
                 continue
-            best_op = None
-            best = INFINITE_COST
-            for op_index, entry in enumerate(operations):
-                arity = len(entry)
-                if arity == 5:
-                    c1, m1, c2, m2, local_cost = entry
-                    total = local_cost + m1 * effective[c1] + m2 * effective[c2]
-                elif arity == 3:
-                    c1, m1, local_cost = entry
-                    total = local_cost + m1 * effective[c1]
-                else:
-                    children, total = entry
-                    for child_id, multiplier in children:
-                        total += multiplier * effective[child_id]
-                if total < best:
-                    best = total
-                    best_op = op_nodes[node_id][op_index]
-            choices[node_id] = best_op
+            best_index = argmin_operation(operations, effective)
+            choices[node_id] = (
+                op_view(op_ids[node_id][best_index]) if best_index >= 0 else None
+            )
         return choices
 
     def effective_costs(
@@ -513,11 +478,10 @@ def argmin_operation(operations: Tuple[Tuple[Any, ...], ...], effective: Sequenc
     """Index of the argmin operation of one ``op_specs`` row under the
     effective child costs, -1 when every alternative is infinite.
 
-    This is the per-node body of :meth:`CostEngine.best_operations` (which
-    keeps its own inlined copy for the full-table sweep): the strict ``<`` /
-    first-wins tie-breaking and left-associated accumulation are contractual
-    — the incremental greedy pruning recomputes individual choices with this
-    function and must land on the same operation as a full
+    This is the per-node body of :meth:`CostEngine.best_operations`: the
+    strict ``<`` / first-wins tie-breaking and left-associated accumulation
+    are contractual — the incremental greedy pruning recomputes individual
+    choices with this function and must land on the same operation as a full
     ``best_operations`` pass, which the differential suite asserts.
     """
     best_index = -1
@@ -958,6 +922,11 @@ def get_engine(dag: Dag) -> CostEngine:
     every in-repo producer does (the builder annotates during construction
     only).  Callers that re-annotate an existing DAG must build a fresh DAG
     (or delete ``dag._cost_engine``) before re-costing.
+
+    The cache is a one-way edge: the DAG holds its engine, and the engine
+    holds the DAG's arena but never the DAG itself.  The pair is therefore
+    acyclic and is freed by reference counting together with the DAG,
+    without waiting for the cycle collector.
     """
     key = (dag.num_equivalence_nodes, dag.num_operation_nodes)
     cached = getattr(dag, "_cost_engine", None)

@@ -341,7 +341,6 @@ def _prune_unused(
     is_base = engine.is_base
     op_table = engine.op_table
     op_specs = engine.op_specs
-    op_nodes = engine.op_nodes
     parent_ids = engine.parent_ids
 
     # epsilon=0.0 keeps the cost table bit-identical to a from-scratch
@@ -375,15 +374,15 @@ def _prune_unused(
         index = choice_index[node_id]
         if index < 0:
             continue
-        for child_id, _multiplier in op_table[node_id][index][1]:
+        for child_id in op_table[node_id][index][1]:
             ref[child_id] += 1
             if not seen[child_id]:
                 seen[child_id] = 1
                 stack.append(child_id)
 
-    def adjust(children: Tuple[Tuple[int, float], ...], delta: int) -> None:
+    def adjust(children: Tuple[int, ...], delta: int) -> None:
         """Add *delta* references to the children, cascading reachability."""
-        pending = [child_id for child_id, _multiplier in children]
+        pending = list(children)
         while pending:
             node_id = pending.pop()
             ref[node_id] += delta
@@ -392,9 +391,7 @@ def _prune_unused(
             if ref[node_id] == (1 if delta > 0 else 0) and not is_base[node_id]:
                 index = choice_index[node_id]
                 if index >= 0:
-                    pending.extend(
-                        child_id for child_id, _m in op_table[node_id][index][1]
-                    )
+                    pending.extend(op_table[node_id][index][1])
 
     while True:
         unused = [node_id for node_id in materialized if not ref[node_id]]  # repro-lint: ok(D001) consumed order-insensitively: re-sorted below and set-differenced
@@ -424,12 +421,16 @@ def _prune_unused(
                 if old_index >= 0:
                     adjust(op_table[node_id][old_index][1], -1)
 
+    # Views only for the chosen operations (one per node, not one per
+    # alternative).
+    op_ids = engine.op_ids
+    op_view = engine.arena.op_view
     choices: Dict[int, Optional[OperationNode]] = {}
     for node_id, operations in enumerate(op_specs):
         if operations is None:
             continue
         index = choice_index[node_id]
-        choices[node_id] = op_nodes[node_id][index] if index >= 0 else None
+        choices[node_id] = op_view(op_ids[node_id][index]) if index >= 0 else None
     return materialized, choices, engine.total(costs, materialized)
 
 

@@ -77,8 +77,7 @@ class ConsolidatedPlan:
             operation = choices.get(node_id)
             if operation is None:
                 continue
-            for child_id, _multiplier in op_entries[operation.id][1]:
-                stack.append(child_id)
+            stack.extend(op_entries[operation.id][1])
         return order
 
     def parent_counts(self, roots: Optional[Iterable[EquivalenceNode]] = None) -> Dict[int, int]:
@@ -122,28 +121,30 @@ class ConsolidatedPlan:
     def explain(self) -> str:
         """Human-readable rendering of the plan (one line per plan node)."""
         lines: List[str] = []
-        visited: Set[int] = set()
-
-        def visit(node: EquivalenceNode, depth: int) -> None:
-            indent = "  " * depth
-            marker = " [materialized]" if node.id in self.materialized else ""
-            if node.is_base:
-                lines.append(f"{indent}{node.label}{marker}")
-                return
-            if node.id in visited and node.id in self.materialized:
-                lines.append(f"{indent}reuse({node.label})")
-                return
-            visited.add(node.id)
-            operation = self.choices.get(node.id)
-            if operation is None:
-                lines.append(f"{indent}{node.label}{marker} (no operation)")
-                return
-            lines.append(f"{indent}{operation.operator.describe()} -> {node.label}{marker}")
-            for child in operation.children:
-                visit(child, depth + 1)
-
-        visit(self.dag.root, 0)
+        self._explain_node(self.dag.root, 0, lines, set())
         return "\n".join(lines)
+
+    def _explain_node(
+        self, node: EquivalenceNode, depth: int, lines: List[str], visited: Set[int]
+    ) -> None:
+        # A method, not a nested closure: a recursive closure is a reference
+        # cycle left to the cycle collector on every call.
+        indent = "  " * depth
+        marker = " [materialized]" if node.id in self.materialized else ""
+        if node.is_base:
+            lines.append(f"{indent}{node.label}{marker}")
+            return
+        if node.id in visited and node.id in self.materialized:
+            lines.append(f"{indent}reuse({node.label})")
+            return
+        visited.add(node.id)
+        operation = self.choices.get(node.id)
+        if operation is None:
+            lines.append(f"{indent}{node.label}{marker} (no operation)")
+            return
+        lines.append(f"{indent}{operation.operator.describe()} -> {node.label}{marker}")
+        for child in operation.children:
+            self._explain_node(child, depth + 1, lines, visited)
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +188,27 @@ def extract_plan(plan: ConsolidatedPlan, root: Optional[EquivalenceNode] = None)
     Materialized nodes are computed at their first use (wrapped in a
     ``materialize`` node) and read back (``reuse``) afterwards.
     """
-    root = root or plan.dag.root
-    produced: Set[int] = set()
+    return _plan_node(plan, root or plan.dag.root, set())
 
-    def build(node: EquivalenceNode) -> PlanNode:
-        if node.is_base:
-            return PlanNode("base", node)
-        if node.id in plan.materialized:
-            if node.id in produced:
-                return PlanNode("reuse", node)
-            produced.add(node.id)
-            inner = _operation_node(node)
-            return PlanNode("materialize", node, children=[inner])
-        return _operation_node(node)
 
-    def _operation_node(node: EquivalenceNode) -> PlanNode:
-        operation = plan.operation_for(node)
-        children = [build(child) for child in operation.children]
-        return PlanNode("operation", node, operation, children)
+# Module-level helpers rather than nested closures: mutually recursive
+# closures hold references to each other's cells, a reference cycle that
+# every call would leave to the cycle collector.
+def _plan_node(plan: ConsolidatedPlan, node: EquivalenceNode, produced: Set[int]) -> PlanNode:
+    if node.is_base:
+        return PlanNode("base", node)
+    if node.id in plan.materialized:
+        if node.id in produced:
+            return PlanNode("reuse", node)
+        produced.add(node.id)
+        inner = _operation_plan_node(plan, node, produced)
+        return PlanNode("materialize", node, children=[inner])
+    return _operation_plan_node(plan, node, produced)
 
-    return build(root)
+
+def _operation_plan_node(
+    plan: ConsolidatedPlan, node: EquivalenceNode, produced: Set[int]
+) -> PlanNode:
+    operation = plan.operation_for(node)
+    children = [_plan_node(plan, child, produced) for child in operation.children]
+    return PlanNode("operation", node, operation, children)

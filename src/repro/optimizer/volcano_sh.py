@@ -41,6 +41,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Mapping, NoReturn, Optional, Set, Tuple
 
+from repro.dag.arena import OpEntry
 from repro.dag.nodes import Dag, EquivalenceNode, OperationNode
 from repro.optimizer.costing import INFINITE_COST, compute_node_costs
 from repro.optimizer.engine import CostEngine, CostTableView, get_engine
@@ -68,7 +69,7 @@ def plan_node_costs(
     """
     engine = get_engine(dag)
     op_entries = engine.op_entry_by_op_id
-    choice_entry: List[Optional[Tuple[float, Tuple[Tuple[int, float], ...]]]] = (
+    choice_entry: List[Optional[OpEntry]] = (
         [None] * engine.num_nodes
     )
     for node_id, operation in choices.items():
@@ -81,7 +82,7 @@ def plan_node_costs(
 
 def _plan_costs(
     engine: CostEngine,
-    choice_entry: List[Optional[Tuple[float, Tuple[Tuple[int, float], ...]]]],
+    choice_entry: List[Optional[OpEntry]],
     materialized: Set[int],
     reachable: Optional[bytearray] = None,
 ) -> List[float]:
@@ -119,8 +120,8 @@ def _plan_costs(
             if entry is None and reachable is not None and reachable[node_id]:
                 _require_choice(engine, node_id)
             if entry is not None:
-                cost, children = entry
-                for child_id, multiplier in children:
+                cost, children, multipliers = entry
+                for child_id, multiplier in zip(children, multipliers):
                     cost += multiplier * effective[child_id]
             else:
                 operations = op_specs[node_id]
@@ -196,7 +197,7 @@ def volcano_sh_pass(
 
     # -- snapshot: plan choices -> flat arrays (the only object traversal) --
     choice_op: List[int] = [-1] * num_nodes
-    choice_entry: List[Optional[Tuple[float, Tuple[Tuple[int, float], ...]]]] = (
+    choice_entry: List[Optional[OpEntry]] = (
         [None] * num_nodes
     )
     for node_id, operation in plan.choices.items():
@@ -227,7 +228,7 @@ def volcano_sh_pass(
         for op_id in op_ids[node_id]:
             if not op_is_subsumption[op_id]:
                 continue
-            for child_id, _multiplier in op_entries[op_id][1]:
+            for child_id in op_entries[op_id][1]:
                 if not reachable[child_id] and not is_base[child_id]:
                     break
             else:
@@ -235,9 +236,10 @@ def volcano_sh_pass(
                 break
         if alternative < 0:
             continue
-        local_cost, children = op_entries[alternative]
+        local_cost, children, multipliers = op_entries[alternative]
         via_materialized = local_cost + sum(
-            multiplier * reuse_cost[child_id] for child_id, multiplier in children
+            multiplier * reuse_cost[child_id]
+            for child_id, multiplier in zip(children, multipliers)
         )
         if via_materialized <= baseline_costs[node_id]:
             swapped[node_id] = current
@@ -255,7 +257,7 @@ def volcano_sh_pass(
         entry = choice_entry[node_id]
         if entry is None:
             continue
-        for child_id, multiplier in entry[1]:
+        for child_id, multiplier in zip(entry[1], entry[2]):
             numuses[child_id] += max(1, int(round(multiplier)))
 
     # Fallback cost table (min over alternatives, nothing materialized) for
@@ -279,9 +281,9 @@ def volcano_sh_pass(
             # Checked invariant (formerly a silent argmin fallback): every
             # reachable non-base node must carry a chosen operation.
             _require_choice(engine, node_id)
-        local_cost, children = entry
+        local_cost, children, multipliers = entry
         cost = local_cost
-        for child_id, multiplier in children:
+        for child_id, multiplier in zip(children, multipliers):
             child_cost = costs[child_id]
             if mat_flags[child_id]:
                 reuse = reuse_cost[child_id]
@@ -314,9 +316,9 @@ def volcano_sh_pass(
                 for op_id in op_ids[parent_id]:
                     if op_is_subsumption[op_id]:
                         continue
-                    op_local, op_children = op_entries[op_id]
+                    op_local, op_children, op_multipliers = op_entries[op_id]
                     candidate = op_local
-                    for child_id, multiplier in op_children:
+                    for child_id, multiplier in zip(op_children, op_multipliers):
                         child_cost = (
                             costs[child_id]
                             if has_cost[child_id]
@@ -329,9 +331,9 @@ def volcano_sh_pass(
                         candidate += multiplier * child_cost
                     if candidate < original:
                         original = candidate
-                parent_local, parent_children = op_entries[parent_op_id]
+                parent_local, parent_children, parent_multipliers = op_entries[parent_op_id]
                 via_node = parent_local
-                for child_id, multiplier in parent_children:
+                for child_id, multiplier in zip(parent_children, parent_multipliers):
                     if child_id == node_id:
                         child_cost = reuse_cost[node_id]
                     else:
@@ -349,7 +351,7 @@ def volcano_sh_pass(
         chosen = choice_op[node_id]
         if op_is_subsumption[chosen] and not all(
             mat_flags[child_id] or is_base[child_id]
-            for child_id, _multiplier in op_entries[chosen][1]
+            for child_id in op_entries[chosen][1]
         ):
             choice_op[node_id] = original
             choice_entry[node_id] = op_entries[original]
@@ -370,9 +372,9 @@ def volcano_sh_pass(
     if total > baseline_total:
         return set(), dict(plan.choices), baseline_total
     choices = dict(plan.choices)
-    op_node_by_id = engine.op_node_by_id
+    op_view = engine.arena.op_view
     for node_id in swapped:
-        choices[node_id] = op_node_by_id[choice_op[node_id]]
+        choices[node_id] = op_view(choice_op[node_id])
     return materialized, choices, total
 
 

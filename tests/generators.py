@@ -319,6 +319,15 @@ def random_query_workload(seed: int, max_queries: int = 4) -> List[Query]:
     return queries
 
 
+def _key_token(value) -> str:
+    """Canonical token of an equivalence key (frozensets sorted by token)."""
+    if isinstance(value, tuple):
+        return "(" + ",".join(_key_token(v) for v in value) + ")"
+    if isinstance(value, frozenset):
+        return "{" + ",".join(sorted(_key_token(v) for v in value)) + "}"
+    return f"{type(value).__name__}:{value!r}"
+
+
 def dag_fingerprint(dag: Dag) -> str:
     """A canonical, hash-order-independent serialization of a built DAG.
 
@@ -331,13 +340,6 @@ def dag_fingerprint(dag: Dag) -> str:
     their canonical token so the fingerprint is stable across
     ``PYTHONHASHSEED`` values.
     """
-
-    def token(value) -> str:
-        if isinstance(value, tuple):
-            return "(" + ",".join(token(v) for v in value) + ")"
-        if isinstance(value, frozenset):
-            return "{" + ",".join(sorted(token(v) for v in value)) + "}"
-        return f"{type(value).__name__}:{value!r}"
 
     parts = []
     for node in dag.equivalence_nodes():
@@ -364,7 +366,7 @@ def dag_fingerprint(dag: Dag) -> str:
             "\x1e".join(
                 (
                     str(node.id),
-                    token(node.key),
+                    _key_token(node.key),
                     node.label,
                     repr(node.properties.rows),
                     stats,

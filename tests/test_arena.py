@@ -87,11 +87,10 @@ class TestArenaStructure:
         arena.sync_op_tables()
         assert len(arena.op_entry) == m
         for op_id in range(m):
-            local_cost, entry_children = arena.op_entry[op_id]
+            local_cost, entry_children, entry_multipliers = arena.op_entry[op_id]
             assert local_cost == arena.op_local_cost[op_id]
-            assert entry_children == tuple(
-                zip(arena.op_children[op_id], arena.op_multipliers[op_id])
-            )
+            assert entry_children is arena.op_children[op_id]
+            assert entry_multipliers is arena.op_multipliers[op_id]
 
         # Adjacency is the exact inverse of op_owner / op_children.
         owner_index = [[] for _ in range(n)]

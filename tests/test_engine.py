@@ -74,18 +74,17 @@ class TestEngineSnapshot:
         decision pass) must mirror the object graph exactly."""
         engine = get_engine(batch_dag)
         for operation in batch_dag.operation_nodes():
-            assert engine.op_node_by_id[operation.id] is operation
+            assert engine.arena.op_view(operation.id) is operation
+            assert operation.id in engine.op_ids[operation.equivalence.id]
             assert engine.op_owner[operation.id] == operation.equivalence.id
             assert engine.op_is_subsumption[operation.id] == operation.is_subsumption
-            local_cost, children = engine.op_entry_by_op_id[operation.id]
+            local_cost, children, multipliers = engine.op_entry_by_op_id[operation.id]
             assert local_cost == operation.local_cost
-            assert children == tuple(
-                (child.id, multiplier)
-                for child, multiplier in zip(operation.children, operation.child_multipliers)
-            )
+            assert children == tuple(child.id for child in operation.children)
+            assert multipliers == operation.child_multipliers
         for node in batch_dag.equivalence_nodes():
-            assert engine.op_ids[node.id] == tuple(op.id for op in node.operations)
-            assert engine.parent_op_ids[node.id] == tuple(op.id for op in node.parents)
+            assert engine.op_ids[node.id] == [op.id for op in node.operations]
+            assert engine.parent_op_ids[node.id] == [op.id for op in node.parents]
             assert engine.created_by_subsumption[node.id] == node.created_by_subsumption
 
     def test_plan_reachable_ids_match_object_walk(self, batch_dag):
@@ -381,6 +380,10 @@ class TestBatchedSharingDegrees:
 
         degrees = sharing_degrees(batch_dag)
         for node in batch_dag.equivalence_nodes():
-            if node.is_base or node is batch_dag.root or not _may_be_shared(node):
+            if (
+                node.is_base
+                or node is batch_dag.root
+                or not _may_be_shared(batch_dag.arena, node.id)
+            ):
                 continue
             assert degrees[node.id] == reference_sharing_degree(batch_dag, node.id)
