@@ -146,17 +146,29 @@ class Comparison(Predicate):
 
     def normalized(self) -> "Comparison":
         """Return an equivalent comparison with any constant on the right and
-        column-column comparisons ordered lexicographically."""
-        if isinstance(self.left, Constant) and isinstance(self.right, ColumnRef):
-            return self.flipped()
-        if (
-            isinstance(self.left, ColumnRef)
-            and isinstance(self.right, ColumnRef)
-            and self.right < self.left
-            and self.op in ("=", "!=")
-        ):
-            return self.flipped()
-        return self
+        column-column comparisons ordered lexicographically.
+
+        Cached on the instance like :meth:`Predicate.relations`: selectivity
+        estimation normalizes every comparison it prices, and the ordering
+        test runs a Python-level ``ColumnRef`` comparison.  An
+        already-normal comparison caches ``False`` rather than itself, which
+        would be a reference cycle.
+        """
+        cached = self.__dict__.get("_normalized")
+        if cached is None:
+            if isinstance(self.left, Constant) and isinstance(self.right, ColumnRef):
+                cached = self.flipped()
+            elif (
+                isinstance(self.left, ColumnRef)
+                and isinstance(self.right, ColumnRef)
+                and self.right < self.left
+                and self.op in ("=", "!=")
+            ):
+                cached = self.flipped()
+            else:
+                cached = False
+            object.__setattr__(self, "_normalized", cached)  # repro-lint: ok(C002) idempotent memo of a pure derived value on a frozen instance
+        return cached or self
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"

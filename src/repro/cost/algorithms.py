@@ -18,11 +18,12 @@ itself, which keeps the paper's additive cost formula
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algebra.columns import ColumnRef
 from repro.algebra.predicates import Comparison, Predicate
 from repro.catalog.catalog import Catalog
+from repro.catalog.schema import Table
 from repro.cost.estimation import LogicalProperties
 from repro.cost.model import Cost, CostModel
 
@@ -33,8 +34,6 @@ class AlgorithmChoice:
 
     name: str
     cost: Cost
-    #: Sort order (column refs) delivered by the algorithm, if any.
-    delivered_order: Tuple[ColumnRef, ...] = ()
 
     @property
     def total(self) -> float:
@@ -111,77 +110,179 @@ def cached_read_cost(
 # Joins
 # ---------------------------------------------------------------------------
 
-def block_nested_loops_join_cost(
-    model: CostModel,
-    outer: LogicalProperties,
-    inner: LogicalProperties,
-    output_rows: float,
-) -> Cost:
-    """Block nested-loops join with the inner input buffered.
+class EquiJoin(NamedTuple):
+    """The equi-join structure of a join's connecting predicates."""
 
-    The (pipelined) inner is materialized to a temporary once, then re-read
-    for every memory-full chunk of the outer; if the inner fits in memory no
-    temporary is needed.  The CPU cost reflects the quadratic number of tuple
-    comparisons nested loops performs, which is what makes merge or index
-    joins preferable for large inputs (the paper's operator set contains no
-    hash join).
+    #: ``left.col = right.col`` conjuncts as ``(left, right)``, in predicate
+    #: order (the order index nested-loops candidates are tried in).
+    pairs: Tuple[Tuple[ColumnRef, ColumnRef], ...]
+    #: Every column of :attr:`pairs`; an input delivered in the order of one
+    #: of them needs no sort before a merge join.
+    columns: FrozenSet[ColumnRef]
+
+
+def equi_join(predicates: Sequence[Predicate]) -> EquiJoin:
+    """Extract the ``column = column`` conjuncts of *predicates*."""
+    pairs: List[Tuple[ColumnRef, ColumnRef]] = []
+    for predicate in predicates:
+        for conjunct in predicate.conjuncts():
+            if isinstance(conjunct, Comparison) and conjunct.op == "=":
+                left, right = conjunct.left, conjunct.right
+                if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
+                    pairs.append((left, right))
+    return EquiJoin(tuple(pairs), frozenset(c for pair in pairs for c in pair))
+
+
+class JoinInput:
+    """What :func:`choose_join` reads from one join input.
+
+    A DAG build prices every join an equivalence node takes part in — often
+    hundreds — so everything that depends on the input alone is computed
+    once: row count, tuple width, block count, the ``external_sort`` cost of
+    the input, and the first column of the order it is delivered in.  A
+    base-table scan delivers its table's clustered-index order and can be
+    the inner of an index nested-loops join; it also keeps its ``Table``
+    and fills in the per-probe cost of each indexed join column on first
+    use.
     """
-    outer_blocks = model.blocks(outer.rows, outer.tuple_width)
-    inner_blocks = model.blocks(inner.rows, inner.tuple_width)
-    per_tuple = model.cpu_time_per_tuple
-    compare_cpu = Cost(
-        0.0,
-        outer.rows * inner.rows * per_tuple + output_rows * per_tuple,
+
+    __slots__ = (
+        "props",
+        "rows",
+        "width",
+        "blocks",
+        "sort_io",
+        "sort_cpu",
+        "order_first",
+        "table",
+        "alias",
+        "_probes",
     )
-    if inner_blocks <= model.memory_blocks - 2:
-        return compare_cpu
-    return model.nested_loops_spill_cost(outer_blocks, inner_blocks) + compare_cpu
+
+    def __init__(
+        self,
+        model: CostModel,
+        props: LogicalProperties,
+        table: Optional[Table] = None,
+        alias: Optional[str] = None,
+    ) -> None:
+        self.props = props
+        self.rows = rows = props.rows
+        self.width = width = props.tuple_width
+        self.blocks = blocks = model.blocks(rows, width)
+        self.sort_io, self.sort_cpu = model.external_sort(blocks, rows)
+        self.alias = alias
+        #: Set only for a base-table scan (both *table* and *alias* given).
+        self.table: Optional[Table] = None
+        self.order_first: Optional[ColumnRef] = None
+        if table is not None and alias is not None:
+            self.table = table
+            clustered = table.clustered_index()
+            if clustered is not None:
+                self.order_first = ColumnRef(alias, clustered.column)
+        self._probes: Dict[str, Optional[Tuple[str, float, float]]] = {}
+
+    def probe(self, model: CostModel, column: ColumnRef) -> Optional[Tuple[str, float, float]]:
+        """``(algorithm name, io, cpu)`` of one index probe into this input
+        on *column*, or ``None`` without an index on it.  Only for base-table
+        scans, with ``column.relation`` equal to :attr:`alias`."""
+        probes = self._probes
+        name = column.column
+        if name in probes:
+            return probes[name]
+        assert self.table is not None
+        index = self.table.index_on(name)
+        entry: Optional[Tuple[str, float, float]] = None
+        if index is not None:
+            matches = self.rows / max(1.0, self.props.distinct(column))
+            probe = model.index_probe_cost(matches, self.width)
+            if not index.clustered:
+                # Non-clustered index: every matching row may live in its own block.
+                probe = probe + model.random_reads(max(0.0, matches - 1.0))
+            entry = (f"index_nested_loops_join({name})", probe.io, probe.cpu)
+        probes[name] = entry
+        return entry
 
 
-def merge_join_cost(
+def choose_join(
     model: CostModel,
-    left: LogicalProperties,
-    right: LogicalProperties,
+    left: JoinInput,
+    right: JoinInput,
+    equi: EquiJoin,
     output_rows: float,
-    left_sorted: bool = False,
-    right_sorted: bool = False,
-) -> Cost:
-    """Sort-merge join; inputs that are not already sorted are sorted first.
+) -> Tuple[str, float]:
+    """``(algorithm name, total cost)`` of the cheapest join of *left* (outer)
+    with *right* (inner).
 
-    The sort costs are accumulated without a zero-cost seed: every component
-    of an ``external_sort`` cost is a sum/product of non-negative terms, so
-    it is ``+0.0`` or positive, and adding ``+0.0`` is bit-exact — the
-    historical ``Cost() + ...`` fold produced identical values.
+    The candidates, in order, with the cheapest kept under a strict ``<`` (a
+    tie keeps the earlier one):
+
+    * **block nested loops** — the inner is buffered; if it does not fit in
+      memory it is written to a temporary once and re-read for every
+      memory-full chunk of the outer.  The CPU cost is the quadratic number
+      of tuple comparisons, which is what makes merge or index joins
+      preferable for large inputs (the paper's operator set has no hash
+      join);
+    * **merge join** (equi-joins only) — each input not already delivered
+      in the order of a join column is sorted first;
+    * **index nested loops** (equi-joins with a base-table scan inner) — one
+      index probe into the inner per outer row, through an index on an
+      inner join column; a non-clustered index reads one block per match.
+
+    Costs are plain floats folded in exactly the order of the equivalent
+    :class:`~repro.cost.model.Cost` arithmetic (``io + cpu`` per candidate,
+    each component summed left to right), so totals are bit-identical to
+    it; ``tests/oracles/join_costing.py`` keeps that formulation as the
+    oracle.  The zero components of those ``Cost`` values are left out:
+    adding ``0.0`` to a non-negative float is exact.
     """
-    cost: Optional[Cost] = None
-    if not left_sorted:
-        cost = model.external_sort(model.blocks(left.rows, left.tuple_width), left.rows)
-    if not right_sorted:
-        right_sort = model.external_sort(model.blocks(right.rows, right.tuple_width), right.rows)
-        cost = right_sort if cost is None else cost + right_sort
-    scan = model.cpu(0, left.rows + right.rows + output_rows)
-    return scan if cost is None else cost + scan
-
-
-def index_nested_loops_join_cost(
-    model: CostModel,
-    outer: LogicalProperties,
-    inner_table_rows: float,
-    inner_tuple_width: float,
-    matches_per_probe: float,
-    output_rows: float,
-    clustered: bool,
-) -> Cost:
-    """Index nested-loops join: one index probe into the inner per outer row."""
-    probe = model.index_probe_cost(matches_per_probe, inner_tuple_width)
-    if not clustered:
-        # Non-clustered index: every matching row may live in its own block.
-        probe = probe + model.random_reads(max(0.0, matches_per_probe - 1.0))
-    return probe.scaled(max(1.0, outer.rows)) + model.cpu(0, output_rows)
+    per_tuple = model.cpu_time_per_tuple
+    compare_cpu = left.rows * right.rows * per_tuple + output_rows * per_tuple
+    if right.blocks <= model.memory_blocks - 2:
+        best_total = compare_cpu
+    else:
+        spill_io, spill_cpu = model.nested_loops_spill_cost(left.blocks, right.blocks)
+        best_total = spill_io + (spill_cpu + compare_cpu)
+    best_name = "block_nested_loops_join"
+    pairs = equi.pairs
+    if not pairs:
+        return best_name, best_total
+    left_sorted = left.order_first in equi.columns
+    right_sorted = right.order_first in equi.columns
+    scan_cpu = (left.rows + right.rows + output_rows) * per_tuple
+    if left_sorted:
+        if right_sorted:
+            merge_total = scan_cpu
+        else:
+            merge_total = right.sort_io + (right.sort_cpu + scan_cpu)
+    elif right_sorted:
+        merge_total = left.sort_io + (left.sort_cpu + scan_cpu)
+    else:
+        merge_total = (left.sort_io + right.sort_io) + (
+            (left.sort_cpu + right.sort_cpu) + scan_cpu
+        )
+    if merge_total < best_total:
+        best_name, best_total = "merge_join", merge_total
+    if right.table is None:
+        return best_name, best_total
+    alias = right.alias
+    outer_scale = max(1.0, left.rows)
+    output_cpu = output_rows * per_tuple
+    for pair in pairs:
+        for candidate in pair:
+            if candidate.relation != alias:
+                continue
+            probe = right.probe(model, candidate)
+            if probe is None:
+                continue
+            inl_total = probe[1] * outer_scale + (probe[2] * outer_scale + output_cpu)
+            if inl_total < best_total:
+                best_name, best_total = probe[0], inl_total
+    return best_name, best_total
 
 
 # ---------------------------------------------------------------------------
-# Aggregation and sorting
+# Aggregation
 # ---------------------------------------------------------------------------
 
 def sort_aggregate_cost(
@@ -194,26 +295,9 @@ def sort_aggregate_cost(
     return cost + model.cpu(0, child.rows + output_rows)
 
 
-def sort_cost(model: CostModel, child: LogicalProperties) -> Cost:
-    """An explicit sort enforcer."""
-    return model.external_sort(model.blocks(child.rows, child.tuple_width), child.rows)
-
-
 # ---------------------------------------------------------------------------
 # Algorithm choice helpers used by the DAG builder
 # ---------------------------------------------------------------------------
-
-def _equi_join_columns(predicates: Sequence[Predicate]) -> Sequence[Tuple[ColumnRef, ColumnRef]]:
-    """Extract ``left.col = right.col`` pairs from the join predicates."""
-    if not predicates:
-        return ()
-    pairs = []
-    for predicate in predicates:
-        for conjunct in predicate.conjuncts():
-            if isinstance(conjunct, Comparison) and conjunct.op == "=" and conjunct.is_column_column():
-                pairs.append((conjunct.left, conjunct.right))
-    return pairs
-
 
 def choose_scan(
     model: CostModel,
@@ -232,7 +316,6 @@ def choose_scan(
     best_cost = table_scan_cost(model, base.rows, base.tuple_width, output.rows)
     best_name = "table_scan"
     best_total = best_cost.io + best_cost.cpu
-    best_order = _clustered_order(catalog, table_name, alias)
     if predicate is not None:
         for conjunct in predicate.conjuncts():
             if not isinstance(conjunct, Comparison):
@@ -245,87 +328,13 @@ def choose_scan(
                 continue
             if index.clustered:
                 cost = clustered_index_scan_cost(model, base.rows, base.tuple_width, output.rows)
-                order: Tuple[ColumnRef, ...] = (ColumnRef(alias, index.column),)
             else:
                 cost = secondary_index_scan_cost(model, base.rows, base.tuple_width, output.rows)
-                order = ()
             total = cost.io + cost.cpu
             if total < best_total:
                 best_cost, best_total = cost, total
                 best_name = f"index_scan({index.column})"
-                best_order = order
-    return AlgorithmChoice(best_name, best_cost, best_order)
-
-
-def _clustered_order(catalog: Catalog, table_name: str, alias: str) -> Tuple[ColumnRef, ...]:
-    index = catalog.table(table_name).clustered_index()
-    if index is None:
-        return ()
-    return (ColumnRef(alias, index.column),)
-
-
-def choose_join(
-    model: CostModel,
-    catalog: Catalog,
-    left: LogicalProperties,
-    right: LogicalProperties,
-    predicates: Sequence[Predicate],
-    output_rows: float,
-    left_order: Tuple[ColumnRef, ...] = (),
-    right_order: Tuple[ColumnRef, ...] = (),
-    right_base_table: Optional[str] = None,
-    right_alias: Optional[str] = None,
-) -> AlgorithmChoice:
-    """Pick the cheapest join algorithm for one operation node.
-
-    *right_base_table* is set when the inner input is a plain (optionally
-    filtered) base-table scan, which enables index nested-loops joins through
-    an existing index on the join column.
-    """
-    # Tracked as scalars instead of a list fed to ``min`` — one
-    # ``AlgorithmChoice`` is built for the winner only.  Candidates are
-    # considered in the historical order with a strict ``<``, so ties keep
-    # resolving to the earliest candidate exactly as ``min`` did.
-    best_cost = block_nested_loops_join_cost(model, left, right, output_rows)
-    best_name = "block_nested_loops_join"
-    best_total = best_cost.io + best_cost.cpu
-    best_order: Tuple[ColumnRef, ...] = ()
-    equi_columns = _equi_join_columns(predicates)
-    if equi_columns:
-        left_cols = {c for pair in equi_columns for c in pair}
-        left_sorted = bool(left_order) and left_order[0] in left_cols
-        right_sorted = bool(right_order) and right_order[0] in left_cols
-        join_col = equi_columns[0]
-        merge = merge_join_cost(model, left, right, output_rows, left_sorted, right_sorted)
-        merge_total = merge.io + merge.cpu
-        if merge_total < best_total:
-            best_cost, best_name, best_total = merge, "merge_join", merge_total
-            best_order = (join_col[0],)
-        if right_base_table is not None and right_alias is not None:
-            table = catalog.table(right_base_table)
-            for left_col, right_col in equi_columns:
-                for candidate in (left_col, right_col):
-                    if candidate.relation != right_alias:
-                        continue
-                    index = table.index_on(candidate.column)
-                    if index is None:
-                        continue
-                    matches = right.rows / max(1.0, right.distinct(candidate))
-                    inl = index_nested_loops_join_cost(
-                        model,
-                        left,
-                        right.rows,
-                        right.tuple_width,
-                        matches,
-                        output_rows,
-                        index.clustered,
-                    )
-                    inl_total = inl.io + inl.cpu
-                    if inl_total < best_total:
-                        best_cost, best_total = inl, inl_total
-                        best_name = f"index_nested_loops_join({candidate.column})"
-                        best_order = ()
-    return AlgorithmChoice(best_name, best_cost, best_order)
+    return AlgorithmChoice(best_name, best_cost)
 
 
 def choose_aggregate(
@@ -333,10 +342,11 @@ def choose_aggregate(
     child: LogicalProperties,
     group_by: Sequence[ColumnRef],
     output_rows: float,
-    child_order: Tuple[ColumnRef, ...] = (),
 ) -> AlgorithmChoice:
-    """Pick the aggregation strategy (sort-based, per the paper's operator set)."""
-    sorted_on_group = bool(group_by) and bool(child_order) and child_order[0] in set(group_by)
-    cost = sort_aggregate_cost(model, child, output_rows, child_sorted=sorted_on_group or not group_by)
-    order = tuple(group_by[:1]) if group_by else ()
-    return AlgorithmChoice("sort_aggregate", cost, order)
+    """Pick the aggregation strategy (sort-based, per the paper's operator set).
+
+    The child is sorted on the group-by columns first; a scalar aggregate
+    (no group-by) needs no sort.
+    """
+    cost = sort_aggregate_cost(model, child, output_rows, child_sorted=not group_by)
+    return AlgorithmChoice("sort_aggregate", cost)

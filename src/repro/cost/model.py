@@ -16,7 +16,7 @@ paper's figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Dict, NamedTuple, NoReturn, Tuple
 
 
@@ -97,6 +97,20 @@ class CostModel:
         object.__setattr__(
             self, "_memory_blocks", max(3, self.memory_bytes // self.block_size)
         )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The fields only: the memo tables are a process-local cache.
+
+        Pickling them made the bytes of every session snapshot (which
+        carries its cost model) depend on unrelated pricing done earlier in
+        the same process by the shared :data:`DEFAULT_COST_MODEL`.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)  # repro-lint: ok(C002) unpickling initializes a fresh instance
+        self.__post_init__()
 
     # The bound is enforced on the miss path of each memoized primitive (the
     # hit path is a bare dict probe — these run thousands of times per build).

@@ -31,18 +31,21 @@ repeatedly re-derive the same equivalence nodes and re-cost the same join
 operations; Section 6.4 of the paper reports exactly this DAG-expansion work
 as the dominant MQO overhead.  The builder therefore keeps per-build memo
 tables keyed on equivalence-node identity: join operations are costed once
-per ``(result, left, right)`` triple, delivered orders and applied-predicate
-sets are cached per node, predicate sort keys are interned, and — the big
-one — a join equivalence node whose partition enumeration is provably a pure
-function of its key (the canonical-adjacency condition, now
-:meth:`_BlockShape.canonical`) is skipped entirely when a later block
-re-derives it.  Every memo caches a value that recomputation would reproduce
-bit-for-bit, so the memoized builder and the reference builder
-(``DagBuilder(..., memoize=False)``, which restores the pre-memo *control
-flow*; the value-level caches in the estimation and cost layers are shared
-by both paths) produce byte-identical DAGs; ``tests/test_differential.py``
-enforces this on every seeded workload family and on randomized query
-batches.
+per ``(result, left, right)`` triple, what pricing reads from a join input
+is summarized once per node (:class:`~repro.cost.algorithms.JoinInput`),
+each block's predicates become bits of an int so a partition's connecting
+predicates are one integer expression (:class:`_BlockPredicates`),
+predicate sort keys are interned, and — the big one — a join equivalence
+node whose partition enumeration is provably a pure function of its key
+(the canonical-adjacency condition, now :meth:`_BlockShape.canonical`) is
+skipped entirely when a later block re-derives it.  Every memo caches a
+value that recomputation would reproduce bit-for-bit, so the memoized
+builder and the reference builder (``DagBuilder(..., memoize=False)``,
+which restores the pre-memo *control flow* and derives connecting
+predicates by set difference of node keys; the value-level caches in the
+estimation and cost layers and the join-costing kernel are shared by both
+paths) produce byte-identical DAGs; ``tests/test_differential.py`` enforces
+this on every seeded workload family and on randomized query batches.
 
 **Catalog-lifetime sessions.**  A builder can additionally be handed a
 :class:`repro.service.session.SessionCache` (``session=...``), the cache
@@ -281,6 +284,101 @@ class _BlockShape:
         return cached
 
 
+class _JoinPredicates:
+    """The connecting predicates of a join and what the builder derives from
+    them: the equi-join structure :func:`~repro.cost.algorithms.choose_join`
+    prices, and one shared :class:`~repro.dag.nodes.JoinOp` per algorithm."""
+
+    __slots__ = ("predicates", "equi", "_operators")
+
+    def __init__(self, predicates: Tuple[Predicate, ...]) -> None:
+        self.predicates = predicates
+        self.equi = alg.equi_join(predicates)
+        self._operators: Dict[str, JoinOp] = {}
+
+    def operator(self, algorithm: str) -> JoinOp:
+        operator = self._operators.get(algorithm)
+        if operator is None:
+            operator = JoinOp(self.predicates, algorithm=algorithm)
+            self._operators[algorithm] = operator
+        return operator
+
+
+class _BlockPredicates:
+    """The join predicates of one block as bits of an int.
+
+    The predicates are deduplicated by value and sorted by their
+    :meth:`DagBuilder._pred_key` string; bit *i* stands for the *i*-th of
+    them.  Set algebra over predicate sets is then integer arithmetic — the
+    connecting predicates of a partition are ``applied(mask) &
+    ~applied(left) & ~applied(right)`` — and the bits of an int, read low to
+    high, list its predicates already in the sorted order every consumer
+    needs.  :meth:`subset` memoizes one :class:`_JoinPredicates` per
+    distinct int, so a block derives each distinct connecting set's
+    equi-join structure once.  The numbering is done on first use: a warm
+    session build that replays every partition from the cache never sorts
+    the block's predicates.
+    """
+
+    __slots__ = ("_predicates", "_sort_key", "_shape", "_ordered", "_bits", "_applied", "_subsets")
+
+    def __init__(
+        self,
+        predicates: List[Predicate],
+        sort_key: Callable[[Predicate], str],
+        shape: _BlockShape,
+    ) -> None:
+        self._predicates = predicates
+        self._sort_key = sort_key
+        self._shape = shape
+        #: Distinct predicates in sort-key order (first occurrence kept).
+        self._ordered: List[Predicate] = []
+        #: Bit of each block predicate, by position in the block's list.
+        self._bits: Optional[List[int]] = None
+        self._applied: Dict[int, int] = {}
+        self._subsets: Dict[int, _JoinPredicates] = {}
+
+    def _number(self) -> List[int]:
+        self._ordered = sorted(dict.fromkeys(self._predicates), key=self._sort_key)
+        bit_of = {predicate: 1 << i for i, predicate in enumerate(self._ordered)}
+        bits = [bit_of[predicate] for predicate in self._predicates]
+        self._bits = bits
+        return bits
+
+    def applied(self, mask: int) -> int:
+        """Bits of the predicates applied inside sub-set *mask*.  A single
+        leaf applies none: its pushed-down selections are not block join
+        predicates."""
+        bits = self._applied.get(mask)
+        if bits is None:
+            bits = 0
+            if mask & (mask - 1):
+                position = self._bits if self._bits is not None else self._number()
+                for i in self._shape.applicable_indices(mask):
+                    bits |= position[i]
+            self._applied[mask] = bits
+        return bits
+
+    def joining(self, mask: int, left: int) -> _JoinPredicates:
+        """The predicates joining sub-set *left* with the rest of *mask*."""
+        applied = self.applied
+        return self.subset(applied(mask) & ~applied(left) & ~applied(mask ^ left))
+
+    def subset(self, bits: int) -> _JoinPredicates:
+        """The predicates of *bits*, sorted, with their derived data."""
+        entry = self._subsets.get(bits)
+        if entry is None:
+            predicates: List[Predicate] = []
+            rest = bits
+            while rest:
+                low = rest & -rest
+                predicates.append(self._ordered[low.bit_length() - 1])
+                rest ^= low
+            entry = _JoinPredicates(tuple(predicates))
+            self._subsets[bits] = entry
+        return entry
+
+
 def _leaf_count(node: EquivalenceNode) -> int:
     """Number of block leaves under a join equivalence node (1 otherwise)."""
     key = node.key
@@ -393,14 +491,11 @@ class DagBuilder:
         self._shape_memo: Optional[Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], _BlockShape]] = (
             {} if memoize else None
         )
+        #: Per-node join-input summaries (:class:`~repro.cost.algorithms.JoinInput`),
+        #: computed once per build and read by every partition the node is
+        #: a child of.
         # repro-lint: ok(M001) per-node pure derivation memo; dies with the builder
-        self._applicable_memo: Optional[Dict[int, FrozenSet[Predicate]]] = (
-            {} if memoize else None
-        )
-        # repro-lint: ok(M001) per-node pure derivation memo; dies with the builder
-        self._delivered_order_memo: Optional[Dict[int, Tuple[ColumnRef, ...]]] = (
-            {} if memoize else None
-        )
+        self._join_inputs: Optional[Dict[int, alg.JoinInput]] = {} if memoize else None
         #: Interned ``str(predicate)`` sort keys (used by every deterministic
         #: ``sorted(..., key=str)`` in the builder and the subsumption pass;
         #: pure caching, so it is active in the reference builder too).
@@ -1143,6 +1238,7 @@ class DagBuilder:
         # Per-block memo of the raw (pre-selectivity) property fold, keyed by
         # member bitmask — see :meth:`_raw_join_fold`.
         fold_memo: Dict[int, LogicalProperties] = {}
+        block_preds = _BlockPredicates([p for _, p in pred_masks], self._pred_key, shape)
         for mask in shape.subsets:
             kid = deps_id = None
             identity = mask_identity.get(mask) if mask_identity is not None else None
@@ -1177,10 +1273,14 @@ class DagBuilder:
                         props = entry[0]
                     else:
                         session.stats.misses += 1
-                        props = self._join_properties(mask, nodes_by_mask, predicates, fold_memo)
+                        props = self._join_properties(
+                            mask, nodes_by_mask, block_preds.subset(block_preds.applied(mask)).predicates, fold_memo
+                        )
                         session.join_props[prop_key] = (props, deps_id)
                 else:
-                    props = self._join_properties(mask, nodes_by_mask, predicates, fold_memo)
+                    props = self._join_properties(
+                        mask, nodes_by_mask, block_preds.subset(block_preds.applied(mask)).predicates, fold_memo
+                    )
                 labels = "⋈".join(order[i] for i in range(n) if mask & (1 << i))
                 node_id = arena.add_equivalence(key, props, labels)
                 if session is not None:
@@ -1217,7 +1317,13 @@ class DagBuilder:
             # Enumerate ordered binary partitions (left, right).
             for submask, other in shape.partitions(mask):
                 self._add_join_operation(
-                    node_id, nodes_by_mask[submask], nodes_by_mask[other], predicates, record
+                    node_id,
+                    nodes_by_mask[submask],
+                    nodes_by_mask[other],
+                    block_preds,
+                    mask,
+                    submask,
+                    record,
                 )
             if record is not None:
                 session.join_recipes[(kid, self._node_pid[node_id])] = (tuple(record), deps_id)
@@ -1320,20 +1426,23 @@ class DagBuilder:
         self,
         mask: int,
         nodes_by_mask: Dict[int, int],
-        predicates: FrozenSet[Predicate],
+        predicates: Tuple[Predicate, ...],
         fold_memo: Dict[int, LogicalProperties],
     ) -> LogicalProperties:
         """Estimate properties of a join sub-set directly from its leaves,
-        so the estimate does not depend on which partition created the node."""
+        so the estimate does not depend on which partition created the node.
+
+        *predicates* are the sub-set's applied predicates sorted by
+        :meth:`_pred_key`: float multiplication is not associative, and
+        folding the selectivities in hash order made the row estimate (and
+        thus near-tie plan choices on the correlated Q2 workloads) vary with
+        ``PYTHONHASHSEED`` from run to run.
+        """
         props = self._raw_join_fold(mask, nodes_by_mask, fold_memo)
         if not predicates:
             return props.with_rows(props.rows * 1.0)
         selectivity = 1.0
-        # Sorted: ``predicates`` is a frozenset, and float multiplication is
-        # not associative — iterating in hash order made the row estimate
-        # (and thus near-tie plan choices on the correlated Q2 workloads)
-        # vary with PYTHONHASHSEED from run to run.
-        for predicate in sorted(predicates, key=self._pred_key):
+        for predicate in predicates:
             selectivity *= self.estimator.predicate_selectivity(predicate, props)
         return props.with_rows(props.rows * selectivity)
 
@@ -1342,13 +1451,19 @@ class DagBuilder:
         node_id: int,
         left_id: int,
         right_id: int,
-        all_predicates: FrozenSet[Predicate],
+        block_preds: _BlockPredicates,
+        mask: int,
+        left_mask: int,
         record: Optional[List[RecipeEntry]] = None,
     ) -> None:
-        # ``all_predicates`` is always the result node's key predicate set, so
-        # the triple determines the connecting predicates and the
-        # ``choose_join`` outcome — repeats (the same partition re-derived by
-        # an overlapping query) can skip the costing entirely.
+        """Price the join of *left_id* and *right_id* into *node_id* and add it.
+
+        *mask* and *left_mask* are the block sub-sets of the result and of
+        its left input.  The triple determines the connecting predicates
+        and hence the ``choose_join`` outcome, so repeats (the same
+        partition re-derived by an overlapping query) skip the costing
+        entirely.
+        """
         arena = self.dag.arena
         memo = self._join_op_memo
         if memo is not None:
@@ -1391,82 +1506,69 @@ class DagBuilder:
                 add_operation(node_id, operator, (left_id, right_id), total)
                 return
             session.stats.misses += 1
-        left_preds = self._applicable_to(left_id)
-        right_preds = self._applicable_to(right_id)
-        remaining: FrozenSet[Predicate] = all_predicates
-        if left_preds:
-            remaining = remaining - left_preds
-        if right_preds:
-            remaining = remaining - right_preds
-        # Sorting matters only past one element (the common case is 0 or 1).
-        if len(remaining) > 1:
-            connecting = tuple(sorted(remaining, key=self._pred_key))
+        if memo is not None:
+            joining = block_preds.joining(mask, left_mask)
         else:
-            connecting = tuple(remaining)  # repro-lint: ok(D001) 0 or 1 element; no order to leak
-        choice = alg.choose_join(
-            self.cost_model,
-            self.catalog,
-            arena.eq_props[left_id],
-            arena.eq_props[right_id],
-            connecting,
-            arena.eq_props[node_id].rows,
-            left_order=self._delivered_order(left_id),
-            right_order=self._delivered_order(right_id),
-            right_base_table=arena.eq_base_table[right_id],
-            right_alias=arena.eq_scan_alias[right_id],
-        )
-        operator = JoinOp(connecting, algorithm=choice.name)
-        if session is not None:
-            session.join_ops[cache_key] = (
-                operator, choice.total, self._node_deps[node_id]
+            # The reference builder derives the connecting predicates from
+            # the node keys by set difference, which checks the bitmasks.
+            remaining = (
+                self._applicable_to(node_id)
+                - self._applicable_to(left_id)
+                - self._applicable_to(right_id)
             )
+            joining = _JoinPredicates(tuple(sorted(remaining, key=self._pred_key)))
+        name, total = alg.choose_join(
+            self.cost_model,
+            self._join_input(left_id),
+            self._join_input(right_id),
+            joining.equi,
+            arena.eq_props[node_id].rows,
+        )
+        operator = joining.operator(name)
+        if session is not None:
+            session.join_ops[cache_key] = (operator, total, self._node_deps[node_id])
             if record is not None:
                 record.append(
                     (node_kid[left_id], node_pid[left_id],
                      node_kid[right_id], node_pid[right_id],
-                     operator, choice.total)
+                     operator, total)
                 )
-        add_operation(node_id, operator, (left_id, right_id), choice.total)
+        add_operation(node_id, operator, (left_id, right_id), total)
 
     def _applicable_to(self, eq_id: int) -> FrozenSet[Predicate]:
-        """Predicates already applied inside *eq_id* (join sub-set or leaf)."""
-        memo = self._applicable_memo
-        if memo is not None:
-            cached = memo.get(eq_id)
-            if cached is not None:
-                return cached
+        """Predicates already applied inside *eq_id* (join sub-set or leaf);
+        the reference builder's connecting-predicate derivation."""
         key = self.dag.arena.eq_key[eq_id]
         if isinstance(key, tuple) and key and key[0] == "join":
-            applied = key[2]
-        else:
-            applied = frozenset()
-        if memo is not None:
-            memo[eq_id] = applied
-        return applied
+            applied: FrozenSet[Predicate] = key[2]
+            return applied
+        return frozenset()
 
-    def _delivered_order(self, eq_id: int) -> Tuple[ColumnRef, ...]:
-        """Sort order delivered by a scan of a clustered base table.
+    def _join_input(self, eq_id: int) -> alg.JoinInput:
+        """What pricing a join reads from child *eq_id*, computed once per
+        build (per call in the reference builder).
 
-        Base-table scans inherit the clustered-index order, which is what
-        makes merge joins on primary-key join columns cheap without explicit
-        sorts.  Intermediate joins conservatively deliver no order.
+        Base-table scans deliver their table's clustered-index order, which
+        is what makes merge joins on primary-key join columns cheap without
+        explicit sorts, and can be probed by index nested-loops joins.
+        Intermediate results conservatively deliver no order.
         """
-        memo = self._delivered_order_memo
+        memo = self._join_inputs
         if memo is not None:
             cached = memo.get(eq_id)
             if cached is not None:
                 return cached
         arena = self.dag.arena
         base_table = arena.eq_base_table[eq_id]
-        scan_alias = arena.eq_scan_alias[eq_id]
-        if base_table is None or scan_alias is None:
-            order: Tuple[ColumnRef, ...] = ()
-        else:
-            index = self.catalog.table(base_table).clustered_index()
-            order = () if index is None else (ColumnRef(scan_alias, index.column),)
+        summary = alg.JoinInput(
+            self.cost_model,
+            arena.eq_props[eq_id],
+            None if base_table is None else self.catalog.table(base_table),
+            arena.eq_scan_alias[eq_id],
+        )
         if memo is not None:
-            memo[eq_id] = order
-        return order
+            memo[eq_id] = summary
+        return summary
 
     # ------------------------------------------------------------------
     # Materialization costs

@@ -1,5 +1,7 @@
 """Tests for the catalog substrate, the cost model and cardinality estimation."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -141,6 +143,27 @@ class TestCostModel:
         mat = self.model.materialization_cost(10_000, 100)
         reuse = self.model.reuse_cost(10_000, 100)
         assert mat.total > reuse.total > 0
+
+    def test_pickle_drops_the_memo_and_prices_identically(self):
+        model = CostModel().with_memory(32 * 1024 * 1024)
+        probes = [(100, 1000), (model.memory_blocks * 10, 400_000), (3, 7)]
+        expected = [
+            (model.external_sort(b, r), model.index_probe_cost(r, 64), model.blocks(r, 96))
+            for b, r in probes
+        ]
+        expected.append(model.nested_loops_spill_cost(9_000, 20_000))
+        assert model._memo
+        restored = pickle.loads(pickle.dumps(model))
+        assert restored == model
+        assert restored._memo == {}
+        assert restored.memory_blocks == model.memory_blocks
+        again = [
+            (restored.external_sort(b, r), restored.index_probe_cost(r, 64), restored.blocks(r, 96))
+            for b, r in probes
+        ]
+        again.append(restored.nested_loops_spill_cost(9_000, 20_000))
+        assert again == expected
+        assert pickle.dumps(model) == pickle.dumps(CostModel().with_memory(32 * 1024 * 1024))
 
     @given(rows=st.integers(1, 10**7), width=st.integers(4, 512))
     def test_reuse_cheaper_than_materialization(self, rows, width):

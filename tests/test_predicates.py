@@ -1,5 +1,8 @@
 """Unit and property tests for the predicate language and implication tests."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -66,6 +69,38 @@ class TestComparison:
 
     def test_normalized_moves_constant_right(self):
         assert Comparison(lit(5), ">", A).normalized() == lt(A, 5)
+
+    @pytest.mark.parametrize(
+        "comparison, expected",
+        [
+            (Comparison(lit(5), ">", A), lt(A, 5)),
+            (lt(A, 5), lt(A, 5)),
+            (eq(C, A), eq(A, C)),
+            (ne(C, A), ne(A, C)),
+            (eq(A, C), eq(A, C)),
+            (lt(C, A), lt(C, A)),  # only = and != are reordered
+            (Comparison(lit(1), "=", lit(2)), Comparison(lit(1), "=", lit(2))),
+        ],
+    )
+    def test_normalized_is_memoized(self, comparison, expected):
+        first = comparison.normalized()
+        assert first == expected
+        assert comparison.normalized() is first
+        if first == comparison:
+            assert first is comparison
+
+    def test_normalized_memo_creates_no_reference_cycle(self):
+        comparison = lt(A, 5)
+        assert comparison.normalized() is comparison
+        ref = weakref.ref(comparison)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del comparison
+            assert ref() is None  # freed by reference counting alone
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_rename(self):
         renamed = eq(A, C).rename({"r": "r2"})

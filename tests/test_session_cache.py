@@ -570,6 +570,18 @@ class TestCrossProcessSnapshot:
         assert int(entries) == session.cache.entry_count()
 
 
+    def test_snapshot_bytes_do_not_depend_on_unrelated_builds(self):
+        """The shared default cost model's memo tables are process-local and
+        stay out of the pickle, so an unrelated one-shot optimization in the
+        same process leaves a session's snapshot bytes unchanged."""
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog)
+        session.build_dag(scaleup_queries(2))
+        before = session.snapshot_state()
+        MQOptimizer(catalog).optimize_all(scaleup_queries(5))
+        assert session.snapshot_state() == before
+
+
 # ---------------------------------------------------------------------------
 # Background cache warming (PR 7)
 # ---------------------------------------------------------------------------
