@@ -75,10 +75,22 @@ class _DigestContext:
     executor's recursion: :func:`extract_plan` marks the *first* DFS
     encounter as the materialize node, and the executor (and the digest
     recursion) walk the exact same DFS order.
+
+    ``node_digests``, ``node_deps`` and ``node_materializes`` memoize
+    :meth:`Executor._plan_digest`, :meth:`Executor._plan_deps` and
+    :meth:`Executor._has_materialize` per plan node, keyed by ``id(node)``:
+    the executor asks for the digest of every operation node it runs, and
+    without the memo each request re-digests the whole subtree below it.
+    ``nodes`` holds every memoized node, so no id is reused while the
+    context lives.
     """
 
     digests: Dict[int, str] = field(default_factory=dict)
     deps: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    node_digests: Dict[int, str] = field(default_factory=dict)
+    node_deps: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    node_materializes: Dict[int, bool] = field(default_factory=dict)
+    nodes: List[PlanNode] = field(default_factory=list)
 
 
 class Executor:
@@ -152,7 +164,7 @@ class Executor:
                 # every materialized node in the subtree, which later
                 # ``reuse`` nodes resolve through the context.
                 digest = self._plan_digest(node, ctx)
-                served = self._try_serve(node, digest, stats, cache)
+                served = self._try_serve(node, digest, stats, cache, ctx)
                 if served is not None:
                     return served
             rows = self._execute(node.children[0], stats, cache, ctx)
@@ -170,7 +182,7 @@ class Executor:
             raise ExecutionError("stored tables are consumed by their parent scan operation")
         if ctx is not None and not isinstance(node.operation.operator, (NoOp, CachedReadOp)):
             digest = self._plan_digest(node, ctx)
-            served = self._try_serve(node, digest, stats, cache)
+            served = self._try_serve(node, digest, stats, cache, ctx)
             if served is not None:
                 return served
             rows = self._execute_operation(node, stats, cache, ctx)
@@ -187,49 +199,73 @@ class Executor:
         child and a reuse node as its producer, so logically identical
         subtrees hash alike whether or not the optimizer chose to share
         them.  Base leaves contribute the catalog statistics digest of
-        their table, pinning the optimizer-visible data content.
+        their table, pinning the optimizer-visible data content.  Computed
+        once per node per run (``ctx.node_digests``).
         """
+        digest = ctx.node_digests.get(id(node))
+        if digest is not None:
+            return digest
         if node.kind == "reuse":
-            return ctx.digests[node.equivalence.id]
-        if node.kind == "materialize":
+            digest = ctx.digests[node.equivalence.id]
+        elif node.kind == "materialize":
             digest = self._plan_digest(node.children[0], ctx)
             ctx.digests[node.equivalence.id] = digest
-            return digest
-        if node.kind == "base":
+        elif node.kind == "base":
             table = node.equivalence.base_table or ""
             stats_digest = self.catalog.table(table).stats_digest()
-            return token_digest(f"base[{table}|{stats_digest}]")
-        operator = node.operation.operator
-        parts = ["op|" + operator_token(operator)]
-        if not isinstance(operator, CachedReadOp):
-            # A CachedReadOp's digest field already identifies the content;
-            # its child is a synthetic base node with no stored table.
-            parts.extend(self._plan_digest(child, ctx) for child in node.children)
-        return token_digest("|".join(parts))
+            digest = token_digest(f"base[{table}|{stats_digest}]")
+        else:
+            operator = node.operation.operator
+            parts = ["op|" + operator_token(operator)]
+            if not isinstance(operator, CachedReadOp):
+                # A CachedReadOp's digest field already identifies the content;
+                # its child is a synthetic base node with no stored table.
+                parts.extend(self._plan_digest(child, ctx) for child in node.children)
+            digest = token_digest("|".join(parts))
+        ctx.node_digests[id(node)] = digest
+        ctx.nodes.append(node)
+        return digest
 
     def _plan_deps(self, node: PlanNode, ctx: _DigestContext) -> FrozenSet[str]:
-        """Base relations read by the subtree rooted at *node* (lowercased)."""
+        """Base relations read by the subtree rooted at *node* (lowercased).
+
+        Computed once per node per run (``ctx.node_deps``).
+        """
+        deps = ctx.node_deps.get(id(node))
+        if deps is not None:
+            return deps
+        operator = node.operation.operator if node.operation is not None else None
         if node.kind == "reuse":
-            return ctx.deps[node.equivalence.id]
-        if node.kind == "materialize":
+            deps = ctx.deps[node.equivalence.id]
+        elif node.kind == "materialize":
             deps = self._plan_deps(node.children[0], ctx)
             ctx.deps[node.equivalence.id] = deps
-            return deps
-        if node.kind == "base":
-            return frozenset(((node.equivalence.base_table or "").lower(),))
-        operator = node.operation.operator
-        if isinstance(operator, (ScanOp, CachedReadOp)):
-            return frozenset((operator.table.lower(),))
-        if not node.children:
-            return frozenset()
-        return frozenset().union(*(self._plan_deps(child, ctx) for child in node.children))
+        elif node.kind == "base":
+            deps = frozenset(((node.equivalence.base_table or "").lower(),))
+        elif isinstance(operator, (ScanOp, CachedReadOp)):
+            deps = frozenset((operator.table.lower(),))
+        elif not node.children:
+            deps = frozenset()
+        else:
+            deps = frozenset().union(*(self._plan_deps(child, ctx) for child in node.children))
+        ctx.node_deps[id(node)] = deps
+        ctx.nodes.append(node)
+        return deps
 
-    def _has_materialize(self, node: PlanNode) -> bool:
-        """True if any strict descendant of *node* is a materialize node."""
-        return any(
-            child.kind == "materialize" or self._has_materialize(child)
-            for child in node.children
-        )
+    def _has_materialize(self, node: PlanNode, ctx: _DigestContext) -> bool:
+        """True if any strict descendant of *node* is a materialize node.
+
+        Computed once per node per run (``ctx.node_materializes``).
+        """
+        found = ctx.node_materializes.get(id(node))
+        if found is None:
+            found = any(
+                child.kind == "materialize" or self._has_materialize(child, ctx)
+                for child in node.children
+            )
+            ctx.node_materializes[id(node)] = found
+            ctx.nodes.append(node)
+        return found
 
     def _scan_key(self, node: PlanNode) -> Optional[tuple]:
         """The equivalence key if *node* is a scan-family node, else None."""
@@ -244,6 +280,7 @@ class Executor:
         digest: str,
         stats: ExecutionStats,
         cache: Dict[int, List[Row]],
+        ctx: _DigestContext,
     ) -> Optional[List[Row]]:
         """Serve *node* from the result cache if its digest is stored.
 
@@ -256,7 +293,7 @@ class Executor:
         """
         rc = self.result_cache
         assert rc is not None
-        if self._has_materialize(node):
+        if self._has_materialize(node, ctx):
             return None
         entry = rc.lookup(digest)
         if entry is None:

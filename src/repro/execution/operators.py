@@ -2,25 +2,42 @@
 
 Rows are dictionaries keyed by :class:`~repro.algebra.columns.ColumnRef`, so
 predicates evaluate directly against them.  The executor is correctness- and
-work-accounting oriented rather than performance oriented: joins are evaluated
-as hash joins on their equality conjuncts (the choice of join algorithm does
-not change the result, and the *work accounting* — rows touched, bytes
-materialized — is derived from the logical amount of data flowing through the
-plan, priced with the optimizer's own cost-model constants).
+work-accounting oriented: joins are evaluated as hash joins on their equality
+conjuncts (the choice of join algorithm does not change the result, and the
+*work accounting* — rows touched, bytes materialized — is derived from the
+logical amount of data flowing through the plan, priced with the optimizer's
+own cost-model constants).
+
+The row loops are the executor's hot path.  Each operator call compiles its
+predicates once (:func:`compile_predicate`) into closures over interned
+column references and constants, scans qualify their columns once per scan,
+and a single-column equi-join without a residual keys its hash table on the
+scalar value.  The test oracle, ``tests/oracles/row_operators.py``, keeps the
+literal formulation (every predicate through :meth:`Predicate.evaluate`,
+tuple join keys, columns qualified per row); rows (values, row order and key
+order) and :class:`ExecutionStats` are identical.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.algebra.columns import ColumnRef
+from repro.algebra.columns import ColumnRef, Constant
 from repro.algebra.expressions import AggregateFunction
-from repro.algebra.predicates import Comparison, Predicate
+from repro.algebra.predicates import (
+    Comparison,
+    Conjunction,
+    Disjunction,
+    Predicate,
+    TruePredicate,
+)
 from repro.cost.model import CostModel
 
 Row = Dict[ColumnRef, object]
+RowTest = Callable[[Row], bool]
 
 
 @dataclass
@@ -71,8 +88,105 @@ def rows_blocks(rows: Sequence[Row], model: CostModel) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Compiled predicates
+# ---------------------------------------------------------------------------
+
+#: The comparison operators, as the C functions of :mod:`operator`.
+_COMPARE: Dict[str, Callable[[object, object], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def compile_predicate(predicate: Predicate) -> RowTest:
+    """Compile *predicate* into a closure over its column refs and constants.
+
+    The closure returns exactly what ``predicate.evaluate(row)`` returns and
+    raises what it raises: a missing column is a ``KeyError``, a ``None``
+    operand compares false, a conjunction or disjunction returns a ``bool``
+    and stops at its first deciding child.  Column–constant and
+    column–column comparisons, ``AND``, ``OR`` and ``TRUE`` are compiled;
+    any other shape (a constant on the left, say) runs its own ``evaluate``.
+    """
+    if isinstance(predicate, Comparison):
+        left, right = predicate.left, predicate.right
+        compare = _COMPARE[predicate.op]
+        if isinstance(left, ColumnRef) and isinstance(right, Constant):
+            return _column_constant(left, compare, right.value)
+        if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
+            return _column_column(left, compare, right)
+        return predicate.evaluate
+    if isinstance(predicate, Conjunction):
+        return _all_of([compile_predicate(child) for child in predicate.children])
+    if isinstance(predicate, Disjunction):
+        return _any_of([compile_predicate(child) for child in predicate.children])
+    if isinstance(predicate, TruePredicate):
+        return _true
+    return predicate.evaluate
+
+
+def _column_constant(ref: ColumnRef, compare: Callable[[object, object], bool], value: object) -> RowTest:
+    if value is None:
+        def test(row: Row) -> bool:
+            row[ref]
+            return False
+        return test
+
+    def test(row: Row) -> bool:
+        found = row[ref]
+        return found is not None and compare(found, value)
+    return test
+
+
+def _column_column(left: ColumnRef, compare: Callable[[object, object], bool], right: ColumnRef) -> RowTest:
+    def test(row: Row) -> bool:
+        a = row[left]
+        b = row[right]
+        return a is not None and b is not None and compare(a, b)
+    return test
+
+
+def _all_of(tests: Sequence[RowTest]) -> RowTest:
+    def test(row: Row) -> bool:
+        for child in tests:
+            if not child(row):
+                return False
+        return True
+    return test
+
+
+def _any_of(tests: Sequence[RowTest]) -> RowTest:
+    def test(row: Row) -> bool:
+        for child in tests:
+            if child(row):
+                return True
+        return False
+    return test
+
+
+def _true(row: Row) -> bool:
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Row-level operator implementations
 # ---------------------------------------------------------------------------
+
+class _Qualifier(Dict[str, ColumnRef]):
+    """Column name -> ``ColumnRef(alias, name)``, filled on first sight."""
+
+    def __init__(self, alias: str) -> None:
+        super().__init__()
+        self.alias = alias
+
+    def __missing__(self, name: str) -> ColumnRef:
+        ref = self[name] = ColumnRef(self.alias, name)
+        return ref
+
 
 def scan_rows(
     table_rows: Sequence[Dict[str, object]],
@@ -83,11 +197,9 @@ def scan_rows(
     tuple_width: int,
 ) -> List[Row]:
     """Scan a stored table, qualify columns with *alias*, apply the filter."""
-    output: List[Row] = []
-    for raw in table_rows:
-        row = {ColumnRef(alias, name): value for name, value in raw.items()}
-        if predicate is None or predicate.evaluate(row):
-            output.append(row)
+    qualified = _Qualifier(alias)
+    rows = [{qualified[name]: value for name, value in raw.items()} for raw in table_rows]
+    output = rows if predicate is None else list(filter(compile_predicate(predicate), rows))
     stats.rows_scanned += len(table_rows)
     blocks = max(1, (len(table_rows) * tuple_width + model.block_size - 1) // model.block_size)
     stats.blocks_read += blocks
@@ -98,7 +210,7 @@ def scan_rows(
 
 
 def filter_rows(rows: Sequence[Row], predicate: Predicate, stats: ExecutionStats, model: CostModel) -> List[Row]:
-    output = [row for row in rows if predicate.evaluate(row)]
+    output = list(filter(compile_predicate(predicate), rows))
     stats.rows_processed += len(rows)
     stats.cpu_seconds += len(rows) * model.cpu_time_per_tuple
     return output
@@ -144,7 +256,11 @@ def join_rows(
     stats: ExecutionStats,
     model: CostModel,
 ) -> List[Row]:
-    """Join two row sets (hash join on equality conjuncts, filter the rest)."""
+    """Join two row sets (hash join on equality conjuncts, filter the rest).
+
+    A combined row is ``{**left_row, **right_row}``: the left row's keys in
+    order, then the right row's new keys, with the right row's values.
+    """
     stats.rows_processed += len(left) + len(right)
     stats.cpu_seconds += (len(left) + len(right)) * model.cpu_time_per_tuple
     if not left or not right:
@@ -152,26 +268,40 @@ def join_rows(
     left_columns = set(left[0].keys())
     right_columns = set(right[0].keys())
     equi, residual = _split_predicates(predicates, left_columns, right_columns)
+    check = _all_of([compile_predicate(p) for p in residual]) if residual else None
 
-    output: List[Row] = []
-    if equi:
+    output: List[Row]
+    if len(equi) == 1 and check is None:
+        # The common case: one key column, no residual.  A scalar key groups
+        # exactly like a 1-tuple of it.
+        left_col, right_col = equi[0]
+        index: Dict[object, List[Row]] = {}
+        for row in right:
+            key = row.get(right_col)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
+        output = [
+            {**row, **match} for row in left for match in index.get(row.get(left_col), ())
+        ]
+    elif equi:
         right_index: Dict[tuple, List[Row]] = defaultdict(list)
         for row in right:
-            key = tuple(row.get(right_col) for _, right_col in equi)
-            right_index[key].append(row)
+            right_index[tuple([row.get(right_col) for _, right_col in equi])].append(row)
+        output = []
         for row in left:
-            key = tuple(row.get(left_col) for left_col, _ in equi)
-            for match in right_index.get(key, ()):
-                combined = dict(row)
-                combined.update(match)
-                if all(p.evaluate(combined) for p in residual):
+            for match in right_index.get(tuple([row.get(left_col) for left_col, _ in equi]), ()):
+                combined = {**row, **match}
+                if check is None or check(combined):
                     output.append(combined)
     else:
+        output = []
         for row in left:
             for match in right:
-                combined = dict(row)
-                combined.update(match)
-                if all(p.evaluate(combined) for p in residual):
+                combined = {**row, **match}
+                if check is None or check(combined):
                     output.append(combined)
         stats.cpu_seconds += len(left) * len(right) * model.cpu_time_per_tuple
     stats.rows_processed += len(output)
@@ -217,22 +347,13 @@ def aggregate_rows(
             if aggregate.column is None:
                 values = [1.0] * len(members)
             else:
-                values = [m.get(aggregate.column) for m in members if m.get(aggregate.column) is not None]
+                source = aggregate.column
+                values = [v for v in [m.get(source) for m in members] if v is not None]
             out_row[ColumnRef(output_alias, aggregate.alias)] = _aggregate_value(aggregate.func, values)
         output.append(out_row)
     stats.rows_processed += len(rows) + len(output)
     stats.cpu_seconds += (len(rows) + len(output)) * model.cpu_time_per_tuple
     return output
-
-
-_COMPARE = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 def nested_apply_rows(
@@ -273,6 +394,8 @@ def nested_apply_rows(
             key = tuple(row.get(inner) for inner, _ in equality_pairs)
             index[key].append(row)
 
+    check = _all_of([compile_predicate(p) for p in residual]) if residual else None
+    column = aggregate.column
     output: List[Row] = []
     for row in outer:
         if equality_pairs:
@@ -280,19 +403,11 @@ def nested_apply_rows(
             candidates = index.get(key, ())
         else:
             candidates = invariant
-        if residual:
-            merged_candidates = []
-            for candidate in candidates:
-                combined = dict(candidate)
-                combined.update(row)
-                if all(p.evaluate(combined) for p in residual):
-                    merged_candidates.append(candidate)
-            candidates = merged_candidates
-        values = [
-            c.get(aggregate.column)
-            for c in candidates
-            if aggregate.column is None or c.get(aggregate.column) is not None
-        ]
+        if check is not None:
+            candidates = [c for c in candidates if check({**c, **row})]
+        values = [c.get(column) for c in candidates]
+        if column is not None:
+            values = [v for v in values if v is not None]
         scalar = _aggregate_value(aggregate.func, values)
         if scalar is None:
             continue

@@ -165,6 +165,33 @@ class TestDifferentialRows:
         assert counters["stores"] > 0
         assert counters["exec_serves"] + counters["injected_serves"] > 0
 
+    def test_each_plan_node_is_digested_once_per_run(self, psp22, monkeypatch):
+        """The executor asks for the digest of every operation node it runs;
+        the per-run memo serializes each node's operator once, not once per
+        ancestor."""
+        import repro.execution.executor as executor_module
+        from repro.optimizer.plans import extract_plan
+
+        catalog, database = psp22
+        session, cache = cached_session(catalog)
+        executor = Executor(database, catalog, result_cache=cache)
+        tokens = []
+        real_token = executor_module.operator_token
+        monkeypatch.setattr(
+            executor_module, "operator_token",
+            lambda operator: tokens.append(operator) or real_token(operator),
+        )
+        plan = session.optimize(scaleup_queries(5), "greedy").plan
+        cached = executor.run(plan)
+        stack, operations = [extract_plan(plan)], 0
+        while stack:
+            node = stack.pop()
+            operations += node.kind == "operation"
+            stack.extend(node.children)
+        assert 0 < len(tokens) <= operations
+        cold = cold_run(catalog, database, scaleup_queries(5))
+        assert rows_digest(cached.per_query_rows) == rows_digest(cold.per_query_rows)
+
     def test_bq5_rows_identical_across_repeats(self, tpcd):
         catalog, database = tpcd
         queries = batched_queries(5)
